@@ -3,12 +3,14 @@
 // gate — tools/check_perf_smoke.py — fails the build if the checked/raw
 // scalar-read ratio regresses past its bound).
 //
-// The Jones-Kelly checker's slow tier searches the object table on every
-// access, so checked cost historically grew with the live-object population
-// — the curve that explains why allocation-heavy servers (Pine, Sendmail,
-// Mutt) see the paper's largest slowdowns. The page-granular unit map
-// (src/softmem/page_map.h) is supposed to make the *common* access O(1) and
-// population-independent; this benchmark measures both regimes:
+// A Jones-Kelly checker that searches the object table by address on every
+// access pays a cost that grows with the live-object population — the curve
+// that explains why allocation-heavy servers (Pine, Sendmail, Mutt) see the
+// paper's largest slowdowns. Here the pointer carries its referent id, so
+// the checking code classifies with an id-indexed lookup and no search, and
+// the page-granular unit map (src/softmem/page_map.h) resolves the *common*
+// access in O(1) before any checking code runs; this benchmark measures
+// both tiers:
 //
 //   * BM_CheckCost{Standard,FailureOblivious,MixedSpec}/N — sequential
 //     scalar reads over a page-aligned hot window whose pages are
@@ -22,8 +24,8 @@
 //     translation cache.
 //   * BM_ResidentProbeFailureOblivious/N — scalar reads scattered over the
 //     packed 48-byte resident blocks themselves: every page is mixed, so
-//     this pins the slow tier's population curve (the pre-fast-path cost
-//     model). Deliberately named outside the perf-smoke pairing.
+//     this pins the slow tier's cost against the population. Deliberately
+//     named outside the perf-smoke pairing.
 //
 // Every benchmark emits the shard's fast-path counters for the timed region
 // as translation_hits / translation_misses / hit_rate, so the JSON carries
@@ -216,8 +218,8 @@ void BM_CheckCostRandomFailureOblivious(benchmark::State& state) {
 
 // Slow-tier pin: scalar reads scattered across the packed resident blocks
 // themselves. Every touched page holds ~85 live 48-byte units, so the page
-// map classifies them mixed and each access runs the full interval search —
-// the pre-fast-path cost model, still tracked per push. (Named outside the
+// map classifies them mixed and each access runs the full checking code —
+// the slow tier, still tracked per push. (Named outside the
 // BM_CheckCost{Standard,FailureOblivious} pairing so the perf-smoke ratio
 // gate does not apply; this regime is allowed to scale with the table.)
 void BM_ResidentProbeFailureOblivious(benchmark::State& state) {

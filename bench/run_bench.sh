@@ -6,7 +6,9 @@
 # build_dir defaults to ./build (the tier-1 configure location), out_dir to
 # the repository root. Produces:
 #   BENCH_overhead.json    — checked-access primitives, Standard vs FO,
-#                            byte loops vs cursor/span fast path
+#                            byte loops vs cursor/span fast path, and the
+#                            FO error path (5 repetitions; the perf-smoke
+#                            gate bounds invalid/valid access medians)
 #   BENCH_span_path.json   — strcpy/memcpy/UTF-8 decode, byte loop vs span,
 #                            under all seven policies
 #   BENCH_check_cost.json  — access-resolution cost vs live-object
@@ -68,7 +70,11 @@ run() {
     >"$out_dir/$out"
 }
 
-run bench_overhead BENCH_overhead.json --benchmark_context=hardware_concurrency="$hw_threads"
+# Five interleaved repetitions: the perf-smoke error-path gate compares
+# medians, and interleaving puts every benchmark's repetitions under the
+# same spread of host load.
+run bench_overhead BENCH_overhead.json --benchmark_context=hardware_concurrency="$hw_threads" \
+  --benchmark_repetitions=5 --benchmark_enable_random_interleaving=true
 run bench_span_path BENCH_span_path.json --benchmark_context=hardware_concurrency="$hw_threads"
 run bench_check_cost BENCH_check_cost.json --benchmark_context=hardware_concurrency="$hw_threads"
 run bench_boundless BENCH_boundless.json --benchmark_context=hardware_concurrency="$hw_threads"

@@ -55,7 +55,7 @@ int main() {
     std::printf("  memory-error log: %llu entries\n",
                 static_cast<unsigned long long>(memory.log().total_errors()));
     for (const MemErrorRecord& record : memory.log().recent()) {
-      std::printf("    %s\n", record.ToString().c_str());
+      std::printf("    %s\n", memory.log().ToString(record).c_str());
     }
     std::printf("\n");
   }

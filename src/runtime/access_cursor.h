@@ -3,12 +3,11 @@
 // An AccessCursor caches the resolved data unit of the last access — its
 // identity, bounds, and the object table's retire epoch at resolution time.
 // Sequential accesses that stay inside that unit skip the per-access
-// Jones-Kelly table search and run as raw copies; anything else (unit
-// change, out-of-bounds byte, retired unit, an active access budget) falls
-// back to the full per-byte classify-and-continue path in fob::Memory —
-// where the shard's page-granular unit map (src/softmem/page_map.h) gets
-// the first look, so even the cursor's fallback bytes usually resolve in
-// O(1) before any interval search runs.
+// Jones-Kelly check (referent lookup, classification, handler dispatch) and
+// run as raw copies; anything else (unit change, out-of-bounds byte,
+// retired unit, an active access budget) falls back to the full per-byte
+// classify-and-continue path in fob::Memory — where the shard's
+// page-granular unit map (src/softmem/page_map.h) gets the first look.
 //
 // This is the runtime analogue of the paper's compiler hoisting bounds
 // checks out of loops: the observable semantics are bit-identical to the

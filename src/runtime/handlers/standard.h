@@ -9,9 +9,8 @@ namespace fob {
 
 // The access lands wherever the address points: out-of-bounds bytes
 // physically corrupt whatever they hit, unmapped addresses are a simulated
-// SIGSEGV. Skips the object-table search entirely, so the measured gap
-// between this handler and the checked ones reproduces the cost profile of
-// inserting dynamic checks.
+// SIGSEGV. Skips the checking code entirely, so the measured gap between
+// this handler and the checked ones is the cost of inserting dynamic checks.
 class StandardHandler : public PolicyHandler {
  public:
   using PolicyHandler::PolicyHandler;

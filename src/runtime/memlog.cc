@@ -6,21 +6,6 @@
 
 namespace fob {
 
-std::string MemErrorRecord::ToString() const {
-  std::ostringstream os;
-  os << "memory error: invalid " << (is_write ? "write" : "read") << " of " << size << " byte"
-     << (size == 1 ? "" : "s") << " at 0x" << std::hex << addr << std::dec << " ["
-     << PointerStatusName(status) << "]";
-  if (!unit_name.empty()) {
-    os << " referent '" << unit_name << "'";
-  }
-  if (!function.empty()) {
-    os << " in " << function;
-  }
-  os << " (access #" << access_index << ")";
-  return os.str();
-}
-
 std::string MemSiteStat::Label() const {
   std::ostringstream os;
   os << (is_write ? "write " : "read ") << (unit_name.empty() ? "<wild>" : unit_name);
@@ -30,34 +15,56 @@ std::string MemSiteStat::Label() const {
   return os.str();
 }
 
-void MemLog::Record(MemErrorRecord record) {
-  ++total_;
-  if (record.is_write) {
-    ++write_errors_;
-  } else {
-    ++read_errors_;
+MemSiteStat& MemLog::Intern(std::string_view unit_name, std::string_view function,
+                            AccessKind kind) {
+  SiteId id = MakeSiteId(unit_name, function, kind);
+  auto [it, inserted] = sites_.try_emplace(id);
+  MemSiteStat& stat = it->second;
+  if (inserted) {
+    stat.site = id;
+    stat.unit_name = unit_name;
+    stat.function = function;
+    stat.is_write = kind == AccessKind::kWrite;
   }
-  if (!record.unit_name.empty()) {
-    ++by_unit_[record.unit_name];
+  return stat;
+}
+
+void MemLog::Echo(const MemErrorRecord& record) const { *echo_ << ToString(record) << "\n"; }
+
+std::vector<MemErrorRecord> MemLog::recent() const {
+  std::vector<MemErrorRecord> out;
+  out.reserve(stored_);
+  for (size_t i = 0; i < stored_; ++i) {
+    size_t slot = head_ + i;
+    out.push_back(ring_[slot >= capacity_ ? slot - capacity_ : slot]);
   }
-  if (record.site != kInvalidSite) {
-    MemSiteStat& stat = sites_[record.site];
-    if (stat.count == 0) {
-      stat.site = record.site;
-      stat.unit_name = record.unit_name;
-      stat.function = record.function;
-      stat.is_write = record.is_write;
+  return out;
+}
+
+std::map<std::string, uint64_t> MemLog::errors_by_unit() const {
+  std::map<std::string, uint64_t> by_unit;
+  for (const auto& [id, stat] : sites_) {
+    if (!stat.unit_name.empty()) {
+      by_unit[stat.unit_name] += stat.count;
     }
-    ++stat.count;
   }
-  if (echo_ != nullptr) {
-    *echo_ << record.ToString() << "\n";
+  return by_unit;
+}
+
+std::string MemLog::ToString(const MemErrorRecord& record) const {
+  const MemSiteStat& where = site(record.site);
+  std::ostringstream os;
+  os << "memory error: invalid " << (record.is_write ? "write" : "read") << " of " << record.size
+     << " byte" << (record.size == 1 ? "" : "s") << " at 0x" << std::hex << record.addr
+     << std::dec << " [" << PointerStatusName(record.status) << "]";
+  if (!where.unit_name.empty()) {
+    os << " referent '" << where.unit_name << "'";
   }
-  recent_.push_back(std::move(record));
-  if (recent_.size() > capacity_) {
-    recent_.pop_front();
-    ++dropped_;
+  if (!where.function.empty()) {
+    os << " in " << where.function;
   }
+  os << " (access #" << record.access_index << ")";
+  return os.str();
 }
 
 void MemLog::Merge(const MemLog& other) {
@@ -69,25 +76,14 @@ void MemLog::Merge(const MemLog& other) {
   translation_misses_ += other.translation_misses_;
   AddBoundlessStats(other.boundless_);
   AddSchedulerStats(other.shed_requests_, other.stolen_batches_, other.peak_lane_depth_);
-  for (const auto& [name, count] : other.by_unit_) {
-    by_unit_[name] += count;
-  }
-  for (const auto& [site, stat] : other.sites_) {
-    MemSiteStat& mine = sites_[site];
-    if (mine.count == 0) {
-      mine.site = stat.site;
-      mine.unit_name = stat.unit_name;
-      mine.function = stat.function;
-      mine.is_write = stat.is_write;
+  for (const auto& [id, stat] : other.sites_) {
+    auto [it, inserted] = sites_.try_emplace(id, stat);
+    if (!inserted) {
+      it->second.count += stat.count;
     }
-    mine.count += stat.count;
   }
-  for (const MemErrorRecord& record : other.recent_) {
-    recent_.push_back(record);
-    if (recent_.size() > capacity_) {
-      recent_.pop_front();
-      ++dropped_;
-    }
+  for (const MemErrorRecord& record : other.recent()) {
+    NextSlot() = record;
   }
 }
 
@@ -115,7 +111,8 @@ std::string MemLog::Summary() const {
        << " older records evicted (aggregates exact)\n";
   }
   // Sort units by error count, descending.
-  std::vector<std::pair<std::string, uint64_t>> units(by_unit_.begin(), by_unit_.end());
+  std::map<std::string, uint64_t> by_unit = errors_by_unit();
+  std::vector<std::pair<std::string, uint64_t>> units(by_unit.begin(), by_unit.end());
   std::sort(units.begin(), units.end(),
             [](const auto& a, const auto& b) { return a.second > b.second; });
   for (const auto& [name, count] : units) {
@@ -125,12 +122,12 @@ std::string MemLog::Summary() const {
 }
 
 void MemLog::Clear() {
-  recent_.clear();
+  head_ = stored_ = 0;
   total_ = read_errors_ = write_errors_ = dropped_ = 0;
+  ++generation_;
   translation_hits_ = translation_misses_ = 0;
   boundless_ = BoundlessStoreStats{};
   shed_requests_ = stolen_batches_ = peak_lane_depth_ = 0;
-  by_unit_.clear();
   sites_.clear();
 }
 

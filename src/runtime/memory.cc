@@ -16,6 +16,12 @@ Memory::Config ConfigFromSpec(const PolicySpec& spec) {
   config.policy = spec;
   return config;
 }
+
+// The unit name an error site is keyed on: empty when the referent id was
+// never issued.
+std::string_view ReferentName(const Memory::CheckResult& check) {
+  return check.unit != nullptr ? std::string_view(check.unit->name) : std::string_view();
+}
 }  // namespace
 
 Memory::Memory(AccessPolicy policy) : Memory(PolicySpec(policy)) {}
@@ -216,43 +222,48 @@ bool Memory::TryFastWrite(Ptr p, const void* src, size_t n) {
 
 Memory::CheckResult Memory::CheckAccess(Ptr p, size_t n) const {
   CheckResult result;
-  // The table search is what a Jones-Kelly/CRED checker executes per access;
-  // performing it here (even though the referent id already hangs off the
-  // pointer) keeps the checked policies' cost model honest.
-  const ObjectTable& table = shard_->table;
-  const DataUnit* containing = table.LookupByAddress(p.addr);
-  result.unit = table.Lookup(p.unit);
-  result.status = OobRegistry::Classify(table, p.unit, p.addr, n);
+  result.unit = shard_->table.Lookup(p.unit);
+  result.status = OobRegistry::Classify(result.unit, p.addr, n);
   result.in_bounds = result.status == PointerStatus::kInBounds;
-  (void)containing;
   return result;
 }
 
-SiteId Memory::SiteOf(const CheckResult& check, AccessKind kind) const {
-  return MakeSiteId(check.unit != nullptr ? std::string_view(check.unit->name) : std::string_view(),
-                    shard_->stack->current_function(), kind);
+Memory::SiteSlot& Memory::ResolveSite(const CheckResult& check, AccessKind kind) const {
+  if (site_cache_generation_ != shard_->log.generation()) {
+    site_cache_.fill(SiteSlot{});
+    site_cache_generation_ = shard_->log.generation();
+  }
+  UnitId unit = check.unit != nullptr ? check.unit->id : kInvalidUnit;
+  uint64_t frame = shard_->stack->current_frame_serial();
+  uint64_t key = (uint64_t{unit} * 0x9e3779b97f4a7c15ull) ^ (frame * 0xc2b2ae3d27d4eb4full) ^
+                 static_cast<uint64_t>(kind);
+  SiteSlot& slot = site_cache_[(key * 0x9e3779b97f4a7c15ull) >> (64 - kSiteCacheBits)];
+  if (slot.site == kInvalidSite || slot.unit != unit || slot.frame != frame || slot.kind != kind) {
+    slot = SiteSlot{unit, frame, kind,
+                    MakeSiteId(ReferentName(check), shard_->stack->current_function(), kind),
+                    nullptr};
+  }
+  return slot;
 }
 
 SiteId Memory::SiteForAccess(Ptr p, AccessKind kind) const {
   return SiteOf(CheckAccess(p, 1), kind);
 }
 
-void Memory::LogError(bool is_write, Ptr p, size_t n, const CheckResult& check, SiteId site) {
+void Memory::LogError(bool is_write, Ptr p, size_t n, const CheckResult& check) {
   shard_->oob.Note(check.status);
+  AccessKind kind = is_write ? AccessKind::kWrite : AccessKind::kRead;
+  SiteSlot& slot = ResolveSite(check, kind);
+  if (slot.stat == nullptr) {
+    slot.stat = &shard_->log.Intern(ReferentName(check), shard_->stack->current_function(), kind);
+  }
   MemErrorRecord record;
-  record.is_write = is_write;
   record.addr = p.addr;
   record.size = n;
   record.unit = p.unit;
-  record.unit_name = check.unit != nullptr ? check.unit->name : "";
   record.status = check.status;
-  record.function = shard_->stack->current_function();
   record.access_index = shard_->accesses;
-  record.site = site != kInvalidSite
-                    ? site
-                    : MakeSiteId(record.unit_name, record.function,
-                                 is_write ? AccessKind::kWrite : AccessKind::kRead);
-  shard_->log.Record(std::move(record));
+  shard_->log.Record(*slot.stat, record);
 }
 
 void Memory::SiteDispatchRead(Ptr p, void* dst, size_t n) {
@@ -268,7 +279,7 @@ void Memory::SiteDispatchRead(Ptr p, void* dst, size_t n) {
   // Unchecked (Standard) sites get no error record — the raw access landing
   // or segfaulting IS the continuation; see StandardHandler::Continue*.
   if (handler.checked()) {
-    LogError(/*is_write=*/false, p, n, check, site);
+    LogError(/*is_write=*/false, p, n, check);
   }
   handler.ContinueInvalidRead(p, dst, n, check);
 }
@@ -284,7 +295,7 @@ void Memory::SiteDispatchWrite(Ptr p, const void* src, size_t n) {
   SiteId site = SiteOf(check, AccessKind::kWrite);
   PolicyHandler& handler = shard_->policy_table->ResolveSite(site);
   if (handler.checked()) {
-    LogError(/*is_write=*/true, p, n, check, site);
+    LogError(/*is_write=*/true, p, n, check);
   }
   handler.ContinueInvalidWrite(p, src, n, check);
 }
@@ -300,19 +311,16 @@ size_t Memory::TryOobRunRead(Ptr p, void* dst, size_t n) {
   if (check.status != PointerStatus::kOobAbove) {
     return 0;
   }
-  SiteId site = kInvalidSite;
-  PolicyHandler* handler = handler_;
-  if (!uniform_) {
-    site = SiteOf(check, AccessKind::kRead);
-    handler = &shard_->policy_table->ResolveSite(site);
-  }
+  PolicyHandler* handler =
+      uniform_ ? handler_
+               : &shard_->policy_table->ResolveSite(SiteOf(check, AccessKind::kRead));
   if (!handler->checked() || !handler->BatchesOobRuns()) {
     return 0;
   }
   for (size_t i = 0; i < n; ++i) {
     BumpAccess();
     ++shard_->translation_misses;
-    LogError(/*is_write=*/false, p + static_cast<int64_t>(i), 1, check, site);
+    LogError(/*is_write=*/false, p + static_cast<int64_t>(i), 1, check);
   }
   handler->OobRunRead(p, dst, n, check);
   return n;
@@ -326,19 +334,16 @@ size_t Memory::TryOobRunWrite(Ptr p, const void* src, size_t n) {
   if (check.status != PointerStatus::kOobAbove) {
     return 0;
   }
-  SiteId site = kInvalidSite;
-  PolicyHandler* handler = handler_;
-  if (!uniform_) {
-    site = SiteOf(check, AccessKind::kWrite);
-    handler = &shard_->policy_table->ResolveSite(site);
-  }
+  PolicyHandler* handler =
+      uniform_ ? handler_
+               : &shard_->policy_table->ResolveSite(SiteOf(check, AccessKind::kWrite));
   if (!handler->checked() || !handler->BatchesOobRuns()) {
     return 0;
   }
   for (size_t i = 0; i < n; ++i) {
     BumpAccess();
     ++shard_->translation_misses;
-    LogError(/*is_write=*/true, p + static_cast<int64_t>(i), 1, check, site);
+    LogError(/*is_write=*/true, p + static_cast<int64_t>(i), 1, check);
   }
   handler->OobRunWrite(p, src, n, check);
   return n;
@@ -466,7 +471,7 @@ void Memory::WriteBytes(Ptr p, std::string_view bytes) {
 }
 
 PointerStatus Memory::Classify(Ptr p, size_t n) const {
-  return OobRegistry::Classify(shard_->table, p.unit, p.addr, n);
+  return OobRegistry::Classify(shard_->table.Lookup(p.unit), p.addr, n);
 }
 
 }  // namespace fob

@@ -8,14 +8,15 @@
 // the shard's PolicySpec:
 //
 //   * checking code: classify the access against the pointer's intended
-//     referent (src/softmem/oob_registry.h);
+//     referent — an id-indexed ObjectTable::Lookup plus
+//     OobRegistry::Classify (src/softmem/oob_registry.h), no address search;
 //   * fast path: before any policy machinery runs, the access is offered to
 //     the shard's page-granular unit map (src/softmem/page_map.h) — a valid
 //     access through the sole live unit on its page resolves in O(1) with no
-//     interval search, and behaves identically under every policy, so the
+//     handler dispatch, and behaves identically under every policy, so the
 //     fast path is taken unconditionally. Misses fall through to the full
 //     pipeline byte-identically. Access resolution is therefore three tiers:
-//     page-map fast path → object-table interval search → policy resolution
+//     page-map fast path → checking code → policy resolution
 //     (see src/runtime/handlers/README.md);
 //   * continuation code: for invalid accesses, do what the resolved policy
 //     says — crash (kStandard, by actually performing/faulting the raw
@@ -36,9 +37,15 @@
 // accesses are policy-independent, so the per-site machinery costs nothing
 // until the checking code actually fails.
 //
-// The Standard policy skips the object-table search entirely and touches the
-// page map only, so the measured gap between Standard and the checked
-// policies reproduces the cost profile of inserting dynamic checks.
+// The Standard policy skips the checking code entirely and touches the page
+// map only, so the measured gap between Standard and the checked policies is
+// the cost of the inserted dynamic checks.
+//
+// An invalid access under a checked policy is logged at its error site
+// (LogError): the site resolves through a small per-Memory cache keyed on
+// (referent id, frame serial, kind), so the steady-state error path is a
+// few counter bumps and one fixed-size MemLog record — no hashing, no
+// strings, no allocation (src/runtime/memlog.h).
 //
 // Every Memory owns exactly one Shard and shares nothing mutable with any
 // other Memory, so concurrent workers each holding their own Memory may run
@@ -50,6 +57,7 @@
 #ifndef SRC_RUNTIME_MEMORY_H_
 #define SRC_RUNTIME_MEMORY_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -248,13 +256,28 @@ class Memory {
   size_t TryOobRunRead(Ptr p, void* dst, size_t n);
   size_t TryOobRunWrite(Ptr p, const void* src, size_t n);
   CheckResult CheckAccess(Ptr p, size_t n) const;
-  // Records one invalid access. `site` is the access's already-derived
-  // SiteId when the caller resolved it (the mixed-spec dispatch path, which
-  // must log exactly the site it resolved the handler for); kInvalidSite
-  // means derive it here.
-  void LogError(bool is_write, Ptr p, size_t n, const CheckResult& check,
-                SiteId site = kInvalidSite);
-  SiteId SiteOf(const CheckResult& check, AccessKind kind) const;
+
+  // The interned-site cache. An error site is (referent unit name, innermost
+  // frame function, kind); unit ids and frame serials are never reused, so
+  // (resolved referent id, frame serial, kind) fixes the names exactly and
+  // serves as a hash-free key. A slot holds the site's id from its first
+  // resolution and the log's interned entry from its first logged error.
+  struct SiteSlot {
+    UnitId unit = kInvalidUnit;  // kInvalidUnit: no resolvable referent
+    uint64_t frame = 0;          // Stack::current_frame_serial()
+    AccessKind kind = AccessKind::kRead;
+    SiteId site = kInvalidSite;  // kInvalidSite: empty slot
+    MemSiteStat* stat = nullptr;
+  };
+  static constexpr size_t kSiteCacheBits = 6;
+  // The one site-resolution path: uniform logging, per-site dispatch and
+  // SiteForAccess all come through here.
+  SiteSlot& ResolveSite(const CheckResult& check, AccessKind kind) const;
+  SiteId SiteOf(const CheckResult& check, AccessKind kind) const {
+    return ResolveSite(check, kind).site;
+  }
+  // Records one invalid access at its resolved site.
+  void LogError(bool is_write, Ptr p, size_t n, const CheckResult& check);
 
   // The mixed-spec access path: classification in the core, continuation
   // via the site-resolved handler.
@@ -262,12 +285,16 @@ class Memory {
   void SiteDispatchWrite(Ptr p, const void* src, size_t n);
   // The handler governing free/realloc of p under a mixed spec; fills
   // `check` with the classification it resolved the site from, so error
-  // paths can log without a second table search.
+  // paths can log without classifying twice.
   PolicyHandler& ResolveAllocHandler(Ptr p, std::optional<CheckResult>& check);
 
   std::unique_ptr<Shard> shard_;
   PolicyHandler* handler_ = nullptr;  // fallback handler, owned by the shard's table
   bool uniform_ = true;
+  // Flushed whenever the log's generation moves (MemLog::Clear drops the
+  // interned entries the slots point at).
+  mutable std::array<SiteSlot, size_t{1} << kSiteCacheBits> site_cache_{};
+  mutable uint64_t site_cache_generation_ = 0;
 };
 
 }  // namespace fob

@@ -111,8 +111,8 @@ class Shard {
   BoundlessStore boundless;
   uint64_t accesses = 0;
   // Fast-path resolution counters: a hit is a checked access that resolved
-  // through the page map alone (no interval search); a miss fell into
-  // ObjectTable::LookupByAddress. Deterministic for a given stream + seed +
+  // through the page map alone; a miss fell into the checking code
+  // (Memory::CheckAccess). Deterministic for a given stream + seed +
   // worker count (tests/test_shard.cc); surfaced through MemLog merges and
   // BENCH_check_cost.json.
   uint64_t translation_hits = 0;

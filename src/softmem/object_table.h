@@ -66,14 +66,12 @@ class ObjectTable {
   // Unit by id; nullptr if the id was never issued.
   const DataUnit* Lookup(UnitId id) const;
 
-  // The live unit containing addr, or nullptr. This is the table search the
-  // Jones-Kelly checker performs on a checked access: a binary search over
-  // the sorted interval vector, the cache-friendly analogue of CRED's splay
-  // tree. Since the page-granular fast path (src/softmem/page_map.h)
-  // resolves valid sole-owner-page accesses in O(1), this search is the
-  // *slow* tier — mixed pages, page misses and invalid accesses land here.
-  // bench_check_cost tracks both tiers' cost against the live-object
-  // population.
+  // The live unit containing addr, or nullptr: a binary search over the
+  // sorted interval vector, the cache-friendly analogue of CRED's splay
+  // tree. Checked accesses do not need it — a pointer carries its referent
+  // id, so the checking code classifies through Lookup — but allocation
+  // (heap blocks, stack locals) and the tests use it to name the unit at an
+  // address.
   const DataUnit* LookupByAddress(Addr addr) const;
 
   // The first live unit overlapping [lo, hi), or nullptr. Zero-size units

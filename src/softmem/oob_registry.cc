@@ -20,11 +20,10 @@ const char* PointerStatusName(PointerStatus status) {
   return "?";
 }
 
-PointerStatus OobRegistry::Classify(const ObjectTable& table, UnitId unit, Addr addr, size_t n) {
+PointerStatus OobRegistry::Classify(const DataUnit* u, Addr addr, size_t n) {
   if (addr < kNullGuardSize) {
     return PointerStatus::kNull;
   }
-  const DataUnit* u = table.Lookup(unit);
   if (u == nullptr) {
     return PointerStatus::kWild;
   }
@@ -35,16 +34,6 @@ PointerStatus OobRegistry::Classify(const ObjectTable& table, UnitId unit, Addr 
     return PointerStatus::kInBounds;
   }
   return addr < u->base ? PointerStatus::kOobBelow : PointerStatus::kOobAbove;
-}
-
-void OobRegistry::Note(PointerStatus status) {
-  ++total_;
-  ++counts_[status];
-}
-
-uint64_t OobRegistry::count(PointerStatus status) const {
-  auto it = counts_.find(status);
-  return it == counts_.end() ? 0 : it->second;
 }
 
 }  // namespace fob

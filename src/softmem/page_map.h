@@ -11,9 +11,9 @@
 // resolves with shift+lookup: page hit whose owner is the pointer's intended
 // referent, access inside the referent's extent → done, no interval search.
 // A mixed page (two or more live units), a page miss, or an out-of-extent
-// range falls into ObjectTable::LookupByAddress exactly as before —
-// byte-identically, since the fast path only accepts accesses the full
-// checking code would have classified kInBounds.
+// range falls into the full checking code (Memory::CheckAccess) —
+// byte-identically, since the fast path only accepts accesses that code
+// would have classified kInBounds.
 //
 // Coherence: the map is written only from the two places the address→unit
 // relation changes — ObjectTable::Register/Retire and AddressSpace::

@@ -30,6 +30,7 @@ void Stack::PushFrame(std::string name) {
   }
   FrameRecord frame;
   frame.name = std::move(name);
+  frame.serial = ++last_serial_;
   frame.sp_at_entry = sp_;
   sp_ -= 8;
   frame.canary_addr = sp_;

@@ -61,12 +61,19 @@ class Stack {
   // The innermost frame's function, or "<no frame>". A view into the frame
   // record (or into a constant), not a copy: valid until the frame pops.
   std::string_view current_function() const;
+  // The innermost frame's serial, or 0 with no frame. Every pushed frame
+  // gets a fresh serial that is never reused, so a serial fixes the
+  // function name: callers may key caches on it instead of on the name.
+  uint64_t current_frame_serial() const {
+    return frames_.empty() ? 0 : frames_.back().serial;
+  }
   Addr stack_pointer() const { return sp_; }
   uint64_t canary_checks() const { return canary_checks_; }
 
  private:
   struct FrameRecord {
     std::string name;
+    uint64_t serial = 0;
     Addr canary_addr = 0;
     uint64_t canary_value = 0;
     Addr sp_at_entry = 0;
@@ -81,6 +88,7 @@ class Stack {
   Addr sp_;
   std::vector<FrameRecord> frames_;
   uint64_t canary_seed_ = 0x52455441444452aaull;  // varied per frame
+  uint64_t last_serial_ = 0;
   uint64_t canary_checks_ = 0;
 };
 

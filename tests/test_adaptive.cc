@@ -29,13 +29,10 @@ namespace {
 MemLog LogWithSite(const std::string& unit, const std::string& function, bool is_write,
                    uint64_t count) {
   MemLog log;
+  MemSiteStat& site =
+      log.Intern(unit, function, is_write ? AccessKind::kWrite : AccessKind::kRead);
   for (uint64_t i = 0; i < count; ++i) {
-    MemErrorRecord record;
-    record.is_write = is_write;
-    record.unit_name = unit;
-    record.function = function;
-    record.site = MakeSiteId(unit, function, is_write ? AccessKind::kWrite : AccessKind::kRead);
-    log.Record(std::move(record));
+    log.Record(site, MemErrorRecord{});
   }
   return log;
 }

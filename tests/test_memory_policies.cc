@@ -134,7 +134,7 @@ TEST_P(PolicyTest, ErrorLogRecordsInvalidAccesses) {
     (void)memory_.ReadU8(p + 9);
   });
   EXPECT_GE(memory_.log().total_errors(), 1u);
-  EXPECT_EQ(memory_.log().recent().front().unit_name, "logged");
+  EXPECT_EQ(memory_.log().site(memory_.log().recent().front().site).unit_name, "logged");
 }
 
 using FailureObliviousTest = ::testing::Test;

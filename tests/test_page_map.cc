@@ -108,9 +108,10 @@ TEST(PageMapFastPathTest, StaleBoundsAfterRetireAtSameAddress) {
   memory.WriteU8(old_window, 0xbb);
   EXPECT_EQ(memory.translation_hits(), hits_before);
   EXPECT_EQ(memory.log().total_errors(), errors_before + 1);
-  const MemErrorRecord& record = memory.log().recent().back();
+  const MemErrorRecord record = memory.log().recent().back();
   EXPECT_EQ(record.status, PointerStatus::kDangling);
-  EXPECT_EQ(record.unit_name, "old");  // attribution survives retirement
+  // Attribution survives retirement.
+  EXPECT_EQ(memory.log().site(record.site).unit_name, "old");
   // The discarded write must not have landed in the fresh allocation
   // (Malloc zero-fills, so any non-zero byte would be the leak).
   EXPECT_EQ(memory.ReadU8(Ptr(old_window.addr, fresh.unit)), 0);

@@ -372,7 +372,8 @@ void ExpectIdenticalState(EquivalencePair& pair, const std::vector<Ptr>& units,
     EXPECT_EQ(ra[i].addr, rb[i].addr) << "record " << i;
     EXPECT_EQ(ra[i].size, rb[i].size) << "record " << i;
     EXPECT_EQ(ra[i].unit, rb[i].unit) << "record " << i;
-    EXPECT_EQ(ra[i].unit_name, rb[i].unit_name) << "record " << i;
+    EXPECT_EQ(pair.legacy.log().ToString(ra[i]), pair.forced.log().ToString(rb[i]))
+        << "record " << i;
     EXPECT_EQ(ra[i].status, rb[i].status) << "record " << i;
     EXPECT_EQ(ra[i].access_index, rb[i].access_index) << "record " << i;
     EXPECT_EQ(ra[i].site, rb[i].site) << "record " << i;

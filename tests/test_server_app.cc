@@ -42,7 +42,7 @@ struct RunSnapshot {
   bool subsequent_ok = false;
   uint64_t total_errors = 0;
   std::vector<std::string> sites;      // "unit|function|rw|count", log order
-  std::vector<std::string> recent;     // MemErrorRecord::ToString()
+  std::vector<std::string> recent;     // MemLog::ToString(record)
   std::vector<std::string> responses;  // one digest per §4 op, in order
 };
 
@@ -69,7 +69,7 @@ void SnapshotLog(const MemLog* log, RunSnapshot& snap) {
                          (stat.is_write ? "w" : "r") + "|" + std::to_string(stat.count));
   }
   for (const MemErrorRecord& record : log->recent()) {
-    snap.recent.push_back(record.ToString());
+    snap.recent.push_back(log->ToString(record));
   }
 }
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -76,30 +77,41 @@ TEST(ShardTest, ShardIdIsStampedPerWorkerAndSurvivesReplacement) {
 
 // ---- Concurrency determinism ------------------------------------------------
 
-std::map<SiteId, uint64_t> SiteCounts(const MemLog& log) {
-  std::map<SiteId, uint64_t> counts;
+// The merged site table: each site's label and exact count.
+std::map<SiteId, std::string> SiteTable(const MemLog& log) {
+  std::map<SiteId, std::string> table;
   for (const auto& [site, stat] : log.sites()) {
-    counts[site] = stat.count;
+    table[site] = stat.Label() + " x" + std::to_string(stat.count);
   }
-  return counts;
+  return table;
+}
+
+// MemLog::Summary() without the lines that follow the worker count by
+// design rather than the errors: the page-map and scheduler lines, and the
+// detail-ring line (a merged log's ring holds every shard's ring).
+std::string ErrorDigest(const MemLog& log) {
+  std::istringstream lines(log.Summary());
+  std::string digest;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("  page-map", 0) != 0 && line.rfind("  scheduler", 0) != 0 &&
+        line.rfind("  detail ring", 0) != 0) {
+      digest += line;
+      digest += '\n';
+    }
+  }
+  return digest;
 }
 
 // Apache and Mutt handle each request independently of accumulated shard
 // state (their FO continuations do not leak manufactured-sequence phase or
 // heap history into responses or error counts), so distributing a stream
-// over N shards must not change the merged outcome at all. Pine, Sendmail
-// and MC are deliberately not pinned here: their per-request behavior reads
-// the shard's manufactured-value phase, which sharding legitimately
-// redistributes.
-void ExpectMergedOutcomeInvariantAcrossWorkerCounts(Server server) {
-  StreamOptions stream_options;
-  stream_options.requests = 48;
-  stream_options.clients = 6;
-  stream_options.attack_period = 4;
-  stream_options.attacks_per_period = 1;
-  stream_options.seed = 7;
-  TrafficStream stream = MakeTrafficStream(server, stream_options);
-  ServerFactory factory = MakeServerAppFactory(server, AccessPolicy::kFailureOblivious);
+// over N shards must not change the merged outcome at all. Pine and Sendmail
+// are deliberately not pinned here: their per-request behavior reads the
+// shard's manufactured-value phase, which sharding legitimately
+// redistributes. MC is pinned on archive browsing only (below), where every
+// request carries its whole archive.
+void ExpectMergedOutcomeInvariantAcrossWorkerCounts(Server server, const TrafficStream& stream,
+                                                   const ServerFactory& factory) {
 
   FrontendReport baseline =
       RunFrontendExperiment(factory, stream, Frontend::Options{.workers = 1, .batch = 4});
@@ -117,11 +129,27 @@ void ExpectMergedOutcomeInvariantAcrossWorkerCounts(Server server) {
     }
     EXPECT_EQ(parallel.merged_log.total_errors(), baseline.merged_log.total_errors())
         << ServerName(server) << " at workers=" << workers;
-    EXPECT_EQ(SiteCounts(parallel.merged_log), SiteCounts(baseline.merged_log))
+    EXPECT_EQ(SiteTable(parallel.merged_log), SiteTable(baseline.merged_log))
         << ServerName(server) << ": merged site aggregates differ at workers=" << workers;
+    EXPECT_EQ(parallel.merged_log.errors_by_unit(), baseline.merged_log.errors_by_unit())
+        << ServerName(server) << " at workers=" << workers;
+    EXPECT_EQ(ErrorDigest(parallel.merged_log), ErrorDigest(baseline.merged_log))
+        << ServerName(server) << " at workers=" << workers;
     EXPECT_EQ(parallel.restarts, 0u);
     EXPECT_EQ(parallel.stats.served, baseline.stats.served);
   }
+}
+
+void ExpectMergedOutcomeInvariantAcrossWorkerCounts(Server server) {
+  StreamOptions stream_options;
+  stream_options.requests = 48;
+  stream_options.clients = 6;
+  stream_options.attack_period = 4;
+  stream_options.attacks_per_period = 1;
+  stream_options.seed = 7;
+  ExpectMergedOutcomeInvariantAcrossWorkerCounts(
+      server, MakeTrafficStream(server, stream_options),
+      MakeServerAppFactory(server, AccessPolicy::kFailureOblivious));
 }
 
 TEST(ShardDeterminismTest, ApacheMergedOutcomeIdenticalFor1And2And8Workers) {
@@ -130,6 +158,45 @@ TEST(ShardDeterminismTest, ApacheMergedOutcomeIdenticalFor1And2And8Workers) {
 
 TEST(ShardDeterminismTest, MuttMergedOutcomeIdenticalFor1And2And8Workers) {
   ExpectMergedOutcomeInvariantAcrossWorkerCounts(Server::kMutt);
+}
+
+// The error-heavy case: MC archive browsing with 1 attack browse in 4 (the
+// symlink-overflow .tgz), the rest benign archives — thousands of logged
+// errors per attack. Each browse carries its archive, so handling depends on
+// shard history only through the manufactured-value phase, and one browse
+// settles that phase: the overflowed '/' scan always stops on the same
+// manufactured value. Each worker therefore serves one warm-up attack browse
+// and clears its log before it joins the pool; from there the merged error
+// log itself — site table, per-unit histogram and the error part of the
+// operator digest — must come out byte-identical at every worker count
+// (all checked by the shared helper above).
+TEST(ShardDeterminismTest, McBrowseMergedLogIdenticalFor1And2And8Workers) {
+  const std::string attack_tgz = MakeMcAttackTgz();
+  const std::string benign_tgz = MakeMcBenignTgz();
+  ServerFactory fresh = MakeServerAppFactory(Server::kMc, AccessPolicy::kFailureOblivious,
+                                             ServerSetup{.mc_config_blank_lines = false});
+  ServerFactory factory = [fresh, attack_tgz] {
+    std::unique_ptr<ServerApp> app = fresh();
+    ServerRequest warm_up = MakeRequest(RequestTag::kAttack, "browse");
+    warm_up.payload = attack_tgz;
+    app->Handle(warm_up);
+    app->memory().log().Clear();
+    return app;
+  };
+  TrafficStream stream;
+  for (uint64_t i = 0; i < 48; ++i) {
+    bool attack = i % 4 == 3;
+    ServerRequest browse = MakeRequest(attack ? RequestTag::kAttack : RequestTag::kLegit, "browse");
+    browse.client_id = 1 + i % 6;
+    browse.payload = attack ? attack_tgz : benign_tgz;
+    stream.requests.push_back(std::move(browse));
+  }
+  ExpectMergedOutcomeInvariantAcrossWorkerCounts(Server::kMc, stream, factory);
+
+  // Error-heavy: one attack browse alone logs over a thousand errors.
+  std::unique_ptr<ServerApp> app = factory();
+  app->Handle(stream.requests[3]);
+  EXPECT_GT(app->memory().log().total_errors(), 1000u);
 }
 
 // The page-map fast-path counters are part of the deterministic outcome:
@@ -189,7 +256,7 @@ TEST(ShardDeterminismTest, StealingKeepsMergedOutcomeInvariantForAHotClient) {
     }
     EXPECT_EQ(parallel.merged_log.total_errors(), baseline.merged_log.total_errors())
         << "workers=" << workers;
-    EXPECT_EQ(SiteCounts(parallel.merged_log), SiteCounts(baseline.merged_log))
+    EXPECT_EQ(SiteTable(parallel.merged_log), SiteTable(baseline.merged_log))
         << "merged site aggregates differ at workers=" << workers;
     // The merged log carries the scheduler's story too.
     EXPECT_EQ(parallel.merged_log.stolen_batches(), parallel.stats.stolen_batches);

@@ -30,9 +30,19 @@ parallelism, so when the report's context says hardware_concurrency <= 1
 the gate is skipped (a 1-core container cannot show it; a multi-core CI
 runner must).
 
+With --overhead BENCH_overhead.json: additionally gates the cost of the
+failure-oblivious error path. The medians over repetitions of
+BM_DiscardedWrite and BM_ManufacturedRead (one invalid access each: check,
+site lookup, log record, continuation) are compared with the per-byte
+median of BM_ByteReads/1 (one valid checked access) and must stay within
+--max-error-path-ratio. Past the bound, per-error work (string copies,
+hashing, allocation) crept back into the error path. CPU time is compared
+on both sides; bench/run_bench.sh records 5 interleaved repetitions.
+
 Usage: tools/check_perf_smoke.py [BENCH_check_cost.json] [--max-ratio 6.0]
            [--boundless BENCH_boundless.json] [--max-boundless-ratio 2.0]
            [--throughput BENCH_throughput.json] [--min-pump-speedup 1.3]
+           [--overhead BENCH_overhead.json] [--max-error-path-ratio 4.0]
 Exit status: 0 all pairs within their bounds; 1 a pair exceeded its bound
 or no pairs were found (a vacuous gate is a failing gate); 2 an input file
 is missing or not a benchmark JSON report (config error, never a
@@ -52,10 +62,10 @@ def per_item_ns(entry):
     return None
 
 
-def load_runs(json_path):
-    """(runs, context): real benchmark runs (no aggregates) keyed by full
-    name plus the report's context object, or an int exit status on config
-    error."""
+def read_report(json_path):
+    """(iteration entries, context) of a google-benchmark JSON report: the
+    real runs, one per repetition, without the aggregates; or an int exit
+    status on config error."""
     try:
         with open(json_path, encoding="utf-8") as f:
             report = json.load(f)
@@ -73,16 +83,82 @@ def load_runs(json_path):
         return 2
 
     context = report.get("context") if isinstance(report.get("context"), dict) else {}
+    entries = [entry for entry in benchmarks
+               if isinstance(entry, dict) and "name" in entry
+               and entry.get("run_type", "iteration") == "iteration"]
+    return entries, context
+
+
+def load_runs(json_path):
+    """(runs, context): real benchmark runs keyed by full name plus the
+    report's context object, or an int exit status on config error."""
+    loaded = read_report(json_path)
+    if isinstance(loaded, int):
+        return loaded
+    entries, context = loaded
     runs = {}
-    for entry in benchmarks:
-        if not isinstance(entry, dict) or "name" not in entry:
-            continue
-        if entry.get("run_type", "iteration") != "iteration":
-            continue
+    for entry in entries:
         ns = per_item_ns(entry)
         if ns is not None:
             runs[entry["name"]] = (ns, entry)
     return runs, context
+
+
+def load_repetitions(json_path):
+    """{name: [cpu ns per repetition]}, plus {name: [ns per byte]} for
+    entries with a bytes_per_second rate; an int exit status on config
+    error."""
+    loaded = read_report(json_path)
+    if isinstance(loaded, int):
+        return loaded
+    to_ns = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+    per_op, per_byte = {}, {}
+    for entry in loaded[0]:
+        name = entry.get("run_name", entry["name"])
+        cpu = entry.get("cpu_time")
+        if isinstance(cpu, (int, float)) and entry.get("time_unit", "ns") in to_ns:
+            per_op.setdefault(name, []).append(cpu * to_ns[entry.get("time_unit", "ns")])
+        bps = entry.get("bytes_per_second")
+        if isinstance(bps, (int, float)) and bps > 0:
+            per_byte.setdefault(name, []).append(1e9 / bps)
+    return per_op, per_byte
+
+
+def median(values):
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
+def check_error_path(json_path, max_ratio):
+    """(pairs, failures) for the error-path gate, or an int exit status."""
+    loaded = load_repetitions(json_path)
+    if isinstance(loaded, int):
+        return loaded
+    per_op, per_byte = loaded
+    base = per_byte.get("BM_ByteReads/1")
+    if not base:
+        print(f"error: no BM_ByteReads/1 runs in {json_path}; error-path gate is vacuous",
+              file=sys.stderr)
+        return 1
+    base_ns = median(base)
+    pairs, failures = 0, []
+    for name in ("BM_DiscardedWrite", "BM_ManufacturedRead"):
+        runs = per_op.get(name)
+        if not runs:
+            print(f"error: no {name} runs in {json_path}; error-path gate is vacuous",
+                  file=sys.stderr)
+            return 1
+        test_ns = median(runs)
+        ratio = test_ns / base_ns if base_ns > 0 else float("inf")
+        pairs += 1
+        verdict = "ok" if ratio <= max_ratio else "FAIL"
+        print(f"{verdict}: {name}: median {test_ns:.1f} ns ({len(runs)} reps) vs "
+              f"BM_ByteReads/1 median {base_ns:.1f} ns/byte ({len(base)} reps) "
+              f"-> {ratio:.2f}x (bound {max_ratio:g}x)")
+        if ratio > max_ratio:
+            failures.append((name, ratio))
+    return pairs, failures
 
 
 def hardware_concurrency(context):
@@ -139,6 +215,12 @@ def main():
     parser.add_argument("--min-pump-speedup", type=float, default=1.3,
                         help="minimum persistent-over-legacy pump speedup on "
                              "multi-core machines (skipped at hardware_concurrency<=1)")
+    parser.add_argument("--overhead", metavar="BENCH_overhead.json", default=None,
+                        help="also gate the error-path cost (discarded write, "
+                             "manufactured read) against a valid checked byte read")
+    parser.add_argument("--max-error-path-ratio", type=float, default=4.0,
+                        help="maximum allowed invalid-access / valid-byte-read median "
+                             "time ratio")
     args = parser.parse_args()
 
     loaded = load_runs(args.json_path)
@@ -197,6 +279,13 @@ def main():
                 print("error: no persistent/legacy pump-overhead pair found; "
                       "pump gate is vacuous", file=sys.stderr)
                 return 1
+
+    if args.overhead is not None:
+        checked = check_error_path(args.overhead, args.max_error_path_ratio)
+        if isinstance(checked, int):
+            return checked
+        pairs += checked[0]
+        failures += checked[1]
 
     if pairs == 0:
         print("error: no checked/raw benchmark pairs found; gate is vacuous", file=sys.stderr)
