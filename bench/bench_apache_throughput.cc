@@ -54,8 +54,9 @@ ThroughputResult MeasureThroughput(AccessPolicy policy, const std::string& legit
     }
     legit.ClientSend(legit_line);
     frontend.Pump();
-    while (auto line = legit.ClientReceive()) {
-      auto response = ServerResponse::Deserialize(*line);
+    for (LineChannel::Recv recv = legit.ClientReceiveLine(); recv.has_line();
+         recv = legit.ClientReceiveLine()) {
+      auto response = ServerResponse::Deserialize(recv.line);
       if (response && response->status == 200) {
         ++legit_ok;
       }

@@ -13,8 +13,8 @@
 #                            under all seven policies
 #   BENCH_check_cost.json  — access-resolution cost vs live-object
 #                            population (Standard vs checked vs mixed
-#                            spec), sequential + random axes, with
-#                            page-map fast-path hit-rate counters; CI's
+#                            spec), sequential + random + packed-block
+#                            axes, with access-check hit/miss counters; CI's
 #                            perf-smoke gate (tools/check_perf_smoke.py)
 #                            runs over this file
 #   BENCH_boundless.json   — boundless OOB store scaling, flat byte-map vs

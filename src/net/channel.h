@@ -9,14 +9,11 @@
 // drained queue is end-of-stream, which ServerReceiveLine/ClientReceiveLine
 // report distinctly from "no input yet" — the Frontend needs the difference
 // to know when a multiplexed client is finished rather than merely idle.
-// The optional-returning ServerReceive/ClientReceive remain for callers
-// that never close (they conflate the two, as before).
 
 #ifndef SRC_NET_CHANNEL_H_
 #define SRC_NET_CHANNEL_H_
 
 #include <deque>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,15 +56,6 @@ class LineChannel {
     to_server_.pop_front();
     return recv;
   }
-  // Legacy form: a line, or nullopt for *either* "no input yet" or
-  // "closed". Prefer ServerReceiveLine when the difference matters.
-  std::optional<std::string> ServerReceive() {
-    Recv recv = ServerReceiveLine();
-    if (!recv.has_line()) {
-      return std::nullopt;
-    }
-    return std::move(recv.line);
-  }
   bool ServerHasInput() const { return !to_server_.empty(); }
   // End-of-stream from the server's perspective: closed and drained.
   bool ServerAtEof() const { return client_closed_ && to_server_.empty(); }
@@ -89,13 +77,6 @@ class LineChannel {
     Recv recv{RecvStatus::kLine, std::move(to_client_.front())};
     to_client_.pop_front();
     return recv;
-  }
-  std::optional<std::string> ClientReceive() {
-    Recv recv = ClientReceiveLine();
-    if (!recv.has_line()) {
-      return std::nullopt;
-    }
-    return std::move(recv.line);
   }
   std::vector<std::string> ClientReceiveAll() {
     std::vector<std::string> lines(to_client_.begin(), to_client_.end());

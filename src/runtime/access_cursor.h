@@ -3,11 +3,16 @@
 // An AccessCursor caches the resolved data unit of the last access — its
 // identity, bounds, and the object table's retire epoch at resolution time.
 // Sequential accesses that stay inside that unit skip the per-access
-// Jones-Kelly check (referent lookup, classification, handler dispatch) and
-// run as raw copies; anything else (unit change, out-of-bounds byte,
-// retired unit, an active access budget) falls back to the full per-byte
-// classify-and-continue path in fob::Memory — where the shard's
-// page-granular unit map (src/softmem/page_map.h) gets the first look.
+// Jones-Kelly check (referent lookup and classification) and run as raw
+// block copies; anything else (unit change, out-of-bounds byte, retired
+// unit, an active access budget) falls back to the per-byte
+// classify-then-continue path of fob::Memory::Read/Write.
+//
+// Under Standard the cursor caches nothing: with no checks to hoist it
+// block-copies the whole span raw, replaying per byte only to find the
+// faulting byte of an unmapped range. That raw block copy, and Standard's
+// unlogged continuation, are all that set Standard apart from the checked
+// policies; the scalar path classifies under every policy.
 //
 // This is the runtime analogue of the paper's compiler hoisting bounds
 // checks out of loops: the observable semantics are bit-identical to the
@@ -54,7 +59,7 @@ class AccessCursor {
   bool Resolve(Ptr p);
 
   Memory& memory_;
-  bool checked_;  // policy runs the Jones-Kelly check (not Standard)
+  bool checked_;  // policy logs invalid accesses (not Standard)
   UnitId unit_ = kInvalidUnit;
   Addr base_ = 0;
   Addr end_ = 0;

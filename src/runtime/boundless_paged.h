@@ -39,8 +39,8 @@
 // so offset -1 lands in page -1, byte 255.
 //
 // Accounting (BoundlessStoreStats) is per shard and flows through MemLog
-// merges in ascending shard-id order, like the page-map translation
-// counters; bench_boundless pins the spray-scaling claims against the flat
+// merges in ascending shard-id order, like the access-check counters;
+// bench_boundless pins the spray-scaling claims against the flat
 // baseline.
 
 #ifndef SRC_RUNTIME_BOUNDLESS_PAGED_H_

@@ -38,8 +38,8 @@ AccessSegments SplitAccess(Addr addr, size_t n, const DataUnit& unit) {
 
 }  // namespace
 
-void BoundlessHandler::OnInvalidWrite(Ptr p, const void* src, size_t n,
-                                      const Memory::CheckResult& check) {
+void BoundlessHandler::ContinueInvalidWrite(Ptr p, const void* src, size_t n,
+                                            const Memory::CheckResult& check) {
   if (check.unit == nullptr || !check.unit->live) {
     return;  // wild/dangling writes are discarded
   }
@@ -61,8 +61,8 @@ void BoundlessHandler::OnInvalidWrite(Ptr p, const void* src, size_t n,
   }
 }
 
-void BoundlessHandler::OnInvalidRead(Ptr p, void* dst, size_t n,
-                                     const Memory::CheckResult& check) {
+void BoundlessHandler::ContinueInvalidRead(Ptr p, void* dst, size_t n,
+                                           const Memory::CheckResult& check) {
   if (check.unit == nullptr || !check.unit->live) {
     ManufactureRead(dst, n);
     return;

@@ -18,9 +18,9 @@
 
 namespace fob {
 
-class BoundlessHandler : public CheckedPolicyHandler {
+class BoundlessHandler : public PolicyHandler {
  public:
-  using CheckedPolicyHandler::CheckedPolicyHandler;
+  using PolicyHandler::PolicyHandler;
 
   AccessPolicy policy() const override { return AccessPolicy::kBoundless; }
 
@@ -35,11 +35,10 @@ class BoundlessHandler : public CheckedPolicyHandler {
   void OobRunWrite(Ptr p, const void* src, size_t n,
                    const Memory::CheckResult& check) override;
 
- protected:
-  void OnInvalidRead(Ptr p, void* dst, size_t n,
-                     const Memory::CheckResult& check) override;
-  void OnInvalidWrite(Ptr p, const void* src, size_t n,
-                      const Memory::CheckResult& check) override;
+  void ContinueInvalidRead(Ptr p, void* dst, size_t n,
+                           const Memory::CheckResult& check) override;
+  void ContinueInvalidWrite(Ptr p, const void* src, size_t n,
+                            const Memory::CheckResult& check) override;
 };
 
 }  // namespace fob

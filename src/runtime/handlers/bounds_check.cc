@@ -13,15 +13,15 @@ namespace {
 }
 }  // namespace
 
-void BoundsCheckHandler::OnInvalidRead(Ptr p, void* dst, size_t n,
-                                       const Memory::CheckResult& check) {
+void BoundsCheckHandler::ContinueInvalidRead(Ptr p, void* dst, size_t n,
+                                             const Memory::CheckResult& check) {
   (void)p;
   (void)dst;
   Terminate("read", n, check);
 }
 
-void BoundsCheckHandler::OnInvalidWrite(Ptr p, const void* src, size_t n,
-                                        const Memory::CheckResult& check) {
+void BoundsCheckHandler::ContinueInvalidWrite(Ptr p, const void* src, size_t n,
+                                              const Memory::CheckResult& check) {
   (void)p;
   (void)src;
   Terminate("write", n, check);

@@ -7,18 +7,17 @@
 
 namespace fob {
 
-class BoundsCheckHandler : public CheckedPolicyHandler {
+class BoundsCheckHandler : public PolicyHandler {
  public:
-  using CheckedPolicyHandler::CheckedPolicyHandler;
+  using PolicyHandler::PolicyHandler;
 
   AccessPolicy policy() const override { return AccessPolicy::kBoundsCheck; }
   bool continues_on_error() const override { return false; }
 
- protected:
-  void OnInvalidRead(Ptr p, void* dst, size_t n,
-                     const Memory::CheckResult& check) override;
-  void OnInvalidWrite(Ptr p, const void* src, size_t n,
-                      const Memory::CheckResult& check) override;
+  void ContinueInvalidRead(Ptr p, void* dst, size_t n,
+                           const Memory::CheckResult& check) override;
+  void ContinueInvalidWrite(Ptr p, const void* src, size_t n,
+                            const Memory::CheckResult& check) override;
 };
 
 }  // namespace fob

@@ -2,15 +2,15 @@
 
 namespace fob {
 
-void FailureObliviousHandler::OnInvalidRead(Ptr p, void* dst, size_t n,
-                                            const Memory::CheckResult& check) {
+void FailureObliviousHandler::ContinueInvalidRead(Ptr p, void* dst, size_t n,
+                                                  const Memory::CheckResult& check) {
   (void)p;
   (void)check;
   ManufactureRead(dst, n);
 }
 
-void FailureObliviousHandler::OnInvalidWrite(Ptr p, const void* src, size_t n,
-                                             const Memory::CheckResult& check) {
+void FailureObliviousHandler::ContinueInvalidWrite(Ptr p, const void* src, size_t n,
+                                                   const Memory::CheckResult& check) {
   // Discard.
   (void)p;
   (void)src;

@@ -53,30 +53,6 @@ void PolicyHandler::ManufactureRead(void* dst, size_t n) {
   }
 }
 
-void CheckedPolicyHandler::Read(Ptr p, void* dst, size_t n) {
-  Memory::CheckResult check = Check(p, n);
-  if (check.in_bounds) {
-    bool ok = space().Read(p.addr, dst, n);
-    assert(ok && "in-bounds unit memory must be mapped");
-    (void)ok;
-    return;
-  }
-  LogError(/*is_write=*/false, p, n, check);
-  OnInvalidRead(p, dst, n, check);
-}
-
-void CheckedPolicyHandler::Write(Ptr p, const void* src, size_t n) {
-  Memory::CheckResult check = Check(p, n);
-  if (check.in_bounds) {
-    bool ok = space().Write(p.addr, src, n);
-    assert(ok && "in-bounds unit memory must be mapped");
-    (void)ok;
-    return;
-  }
-  LogError(/*is_write=*/true, p, n, check);
-  OnInvalidWrite(p, src, n, check);
-}
-
 std::unique_ptr<PolicyHandler> MakePolicyHandler(AccessPolicy policy, Memory& memory) {
   switch (policy) {
     case AccessPolicy::kStandard:

@@ -1,16 +1,16 @@
 // Per-policy continuation strategies.
 //
-// Each AccessPolicy's behaviour — both how an access is checked and what
-// happens when the check fails — is one PolicyHandler implementation,
-// constructed per Memory (via its PolicyTable handler bank). Under a uniform
-// PolicySpec, Memory::Read/Write charge the access budget and delegate the
-// whole access to the fallback handler, so the hot path pays one virtual
-// dispatch instead of a per-access switch over the configuration. Under a
-// mixed spec, the runtime core performs the classification itself and calls
-// ContinueInvalidRead/Write on the handler the access's SiteId resolves to —
-// the context-aware dispatch of Rigger et al. and the per-site assignments
-// of Durieux et al.'s search-space sweep. A new failure-oblivious variant is
-// a new subclass plus a factory case, with no change to the runtime core.
+// Each AccessPolicy's behaviour on an invalid access is one PolicyHandler
+// implementation, constructed per Memory (via its PolicyTable handler bank).
+// The runtime core classifies every scalar access itself (Memory::Read/
+// Write): in-bounds accesses never reach a handler. An invalid access is
+// logged by the core (unless the handler is Standard, which is unchecked)
+// and then handed to ContinueInvalidRead/Write on the handler it resolves
+// to — the fallback handler under a uniform spec, the SiteId-resolved one
+// under a mixed spec (the context-aware dispatch of Rigger et al. and the
+// per-site assignments of Durieux et al.'s search-space sweep). A new
+// failure-oblivious variant is a new subclass plus a factory case, with no
+// change to the runtime core.
 //
 // See README.md in this directory for how to add a policy.
 
@@ -31,23 +31,18 @@ class PolicyHandler {
 
   virtual AccessPolicy policy() const = 0;
 
-  // One whole n-byte access: classification plus continuation. Called from
-  // Memory::Read/Write (uniform specs) after the access budget has been
-  // charged.
-  virtual void Read(Ptr p, void* dst, size_t n) = 0;
-  virtual void Write(Ptr p, const void* src, size_t n) = 0;
-
-  // Continuation-only entry points for the per-site dispatch path: the
-  // runtime core has already classified the access as invalid and written
-  // the error-log record; the handler only decides how execution continues.
+  // How execution continues past an invalid access. The runtime core has
+  // already charged the budget, classified the access as invalid (`check`)
+  // and, for checked policies, written the error-log record.
   virtual void ContinueInvalidRead(Ptr p, void* dst, size_t n,
                                    const Memory::CheckResult& check) = 0;
   virtual void ContinueInvalidWrite(Ptr p, const void* src, size_t n,
                                     const Memory::CheckResult& check) = 0;
 
-  // True when this policy runs the Jones-Kelly check on every access
-  // (everything but Standard). The span fast path only caches unit bounds
-  // for checked policies.
+  // True when an invalid access under this policy is logged (everything
+  // but Standard, whose raw access is its own continuation). The span fast
+  // path only caches unit bounds for checked policies; Standard block-copies
+  // raw.
   virtual bool checked() const { return true; }
 
   // True when an invalid free/realloc is a logged no-op rather than fatal
@@ -82,41 +77,12 @@ class PolicyHandler {
   BoundlessStore& boundless() { return mem_.shard_->boundless; }
   ValueSequence& sequence() { return mem_.shard_->sequence; }
   const Memory::Config& config() const { return mem_.shard_->config; }
-  Memory::CheckResult Check(Ptr p, size_t n) const { return mem_.CheckAccess(p, n); }
-  void LogError(bool is_write, Ptr p, size_t n, const Memory::CheckResult& check) {
-    mem_.LogError(is_write, p, n, check);
-  }
 
   // Fills dst with the policy's manufactured-value sequence (§3): one
   // sequence value for accesses up to 8 bytes, per-byte values beyond.
   void ManufactureRead(void* dst, size_t n);
 
   Memory& mem_;
-};
-
-// Shared checking code for every policy that classifies accesses: raw access
-// when in bounds, otherwise log one record and delegate the continuation.
-class CheckedPolicyHandler : public PolicyHandler {
- public:
-  using PolicyHandler::PolicyHandler;
-
-  void Read(Ptr p, void* dst, size_t n) final;
-  void Write(Ptr p, const void* src, size_t n) final;
-
-  void ContinueInvalidRead(Ptr p, void* dst, size_t n,
-                           const Memory::CheckResult& check) final {
-    OnInvalidRead(p, dst, n, check);
-  }
-  void ContinueInvalidWrite(Ptr p, const void* src, size_t n,
-                            const Memory::CheckResult& check) final {
-    OnInvalidWrite(p, src, n, check);
-  }
-
- protected:
-  virtual void OnInvalidRead(Ptr p, void* dst, size_t n,
-                             const Memory::CheckResult& check) = 0;
-  virtual void OnInvalidWrite(Ptr p, const void* src, size_t n,
-                              const Memory::CheckResult& check) = 0;
 };
 
 // The one place that maps AccessPolicy to its handler implementation.

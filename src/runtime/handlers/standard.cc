@@ -2,30 +2,22 @@
 
 namespace fob {
 
-void StandardHandler::Read(Ptr p, void* dst, size_t n) {
+void StandardHandler::ContinueInvalidRead(Ptr p, void* dst, size_t n,
+                                          const Memory::CheckResult& check) {
+  (void)check;
   if (!space().Read(p.addr, dst, n)) {
     throw Fault::Segfault(p.addr);
   }
 }
 
-void StandardHandler::Write(Ptr p, const void* src, size_t n) {
+void StandardHandler::ContinueInvalidWrite(Ptr p, const void* src, size_t n,
+                                           const Memory::CheckResult& check) {
+  (void)check;
   // A failed write may have landed a mapped prefix, matching the
   // byte-at-a-time behaviour of a real fault.
   if (!space().Write(p.addr, src, n)) {
     throw Fault::Segfault(p.addr);
   }
-}
-
-void StandardHandler::ContinueInvalidRead(Ptr p, void* dst, size_t n,
-                                          const Memory::CheckResult& check) {
-  (void)check;
-  Read(p, dst, n);
-}
-
-void StandardHandler::ContinueInvalidWrite(Ptr p, const void* src, size_t n,
-                                           const Memory::CheckResult& check) {
-  (void)check;
-  Write(p, src, n);
 }
 
 }  // namespace fob

@@ -9,8 +9,10 @@ namespace fob {
 
 // The access lands wherever the address points: out-of-bounds bytes
 // physically corrupt whatever they hit, unmapped addresses are a simulated
-// SIGSEGV. Skips the checking code entirely, so the measured gap between
-// this handler and the checked ones is the cost of inserting dynamic checks.
+// SIGSEGV. The runtime core classifies Standard's scalar accesses like any
+// other policy's; what makes Standard unchecked is its continuation — the
+// invalid access is performed raw and unlogged — and AccessCursor's raw
+// block copies, which skip the checking code entirely.
 class StandardHandler : public PolicyHandler {
  public:
   using PolicyHandler::PolicyHandler;
@@ -19,12 +21,7 @@ class StandardHandler : public PolicyHandler {
   bool checked() const override { return false; }
   bool continues_on_error() const override { return false; }
 
-  void Read(Ptr p, void* dst, size_t n) override;
-  void Write(Ptr p, const void* src, size_t n) override;
-
-  // Per-site dispatch: Standard at an error site means the raw access is
-  // performed unchecked (and unlogged) — the whole access IS the
-  // continuation.
+  // The raw access is the whole continuation.
   void ContinueInvalidRead(Ptr p, void* dst, size_t n,
                            const Memory::CheckResult& check) override;
   void ContinueInvalidWrite(Ptr p, const void* src, size_t n,

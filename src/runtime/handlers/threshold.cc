@@ -14,16 +14,16 @@ void ThresholdHandler::ChargeError() {
   ++errors_continued_;
 }
 
-void ThresholdHandler::OnInvalidRead(Ptr p, void* dst, size_t n,
-                                     const Memory::CheckResult& check) {
+void ThresholdHandler::ContinueInvalidRead(Ptr p, void* dst, size_t n,
+                                           const Memory::CheckResult& check) {
   (void)p;
   (void)check;
   ChargeError();
   ManufactureRead(dst, n);
 }
 
-void ThresholdHandler::OnInvalidWrite(Ptr p, const void* src, size_t n,
-                                      const Memory::CheckResult& check) {
+void ThresholdHandler::ContinueInvalidWrite(Ptr p, const void* src, size_t n,
+                                            const Memory::CheckResult& check) {
   (void)p;
   (void)src;
   (void)n;

@@ -14,19 +14,18 @@
 
 namespace fob {
 
-class ThresholdHandler : public CheckedPolicyHandler {
+class ThresholdHandler : public PolicyHandler {
  public:
-  using CheckedPolicyHandler::CheckedPolicyHandler;
+  using PolicyHandler::PolicyHandler;
 
   AccessPolicy policy() const override { return AccessPolicy::kThreshold; }
 
   uint64_t errors_continued() const { return errors_continued_; }
 
- protected:
-  void OnInvalidRead(Ptr p, void* dst, size_t n,
-                     const Memory::CheckResult& check) override;
-  void OnInvalidWrite(Ptr p, const void* src, size_t n,
-                      const Memory::CheckResult& check) override;
+  void ContinueInvalidRead(Ptr p, void* dst, size_t n,
+                           const Memory::CheckResult& check) override;
+  void ContinueInvalidWrite(Ptr p, const void* src, size_t n,
+                            const Memory::CheckResult& check) override;
 
  private:
   // Charges one continuation against the budget; the continuation that

@@ -13,8 +13,8 @@ Addr WrapTarget(const DataUnit& unit, Addr addr) {
 }
 }  // namespace
 
-void WrapHandler::OnInvalidWrite(Ptr p, const void* src, size_t n,
-                                 const Memory::CheckResult& check) {
+void WrapHandler::ContinueInvalidWrite(Ptr p, const void* src, size_t n,
+                                       const Memory::CheckResult& check) {
   if (check.unit == nullptr || !check.unit->live || check.unit->size == 0) {
     return;
   }
@@ -26,8 +26,8 @@ void WrapHandler::OnInvalidWrite(Ptr p, const void* src, size_t n,
   }
 }
 
-void WrapHandler::OnInvalidRead(Ptr p, void* dst, size_t n,
-                                const Memory::CheckResult& check) {
+void WrapHandler::ContinueInvalidRead(Ptr p, void* dst, size_t n,
+                                      const Memory::CheckResult& check) {
   if (check.unit == nullptr || !check.unit->live || check.unit->size == 0) {
     ManufactureRead(dst, n);
     return;

@@ -8,17 +8,16 @@
 
 namespace fob {
 
-class WrapHandler : public CheckedPolicyHandler {
+class WrapHandler : public PolicyHandler {
  public:
-  using CheckedPolicyHandler::CheckedPolicyHandler;
+  using PolicyHandler::PolicyHandler;
 
   AccessPolicy policy() const override { return AccessPolicy::kWrap; }
 
- protected:
-  void OnInvalidRead(Ptr p, void* dst, size_t n,
-                     const Memory::CheckResult& check) override;
-  void OnInvalidWrite(Ptr p, const void* src, size_t n,
-                      const Memory::CheckResult& check) override;
+  void ContinueInvalidRead(Ptr p, void* dst, size_t n,
+                           const Memory::CheckResult& check) override;
+  void ContinueInvalidWrite(Ptr p, const void* src, size_t n,
+                            const Memory::CheckResult& check) override;
 };
 
 }  // namespace fob

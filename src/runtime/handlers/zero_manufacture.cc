@@ -4,15 +4,15 @@
 
 namespace fob {
 
-void ZeroManufactureHandler::OnInvalidRead(Ptr p, void* dst, size_t n,
-                                           const Memory::CheckResult& check) {
+void ZeroManufactureHandler::ContinueInvalidRead(Ptr p, void* dst, size_t n,
+                                                 const Memory::CheckResult& check) {
   (void)p;
   (void)check;
   std::memset(dst, 0, n);
 }
 
-void ZeroManufactureHandler::OnInvalidWrite(Ptr p, const void* src, size_t n,
-                                            const Memory::CheckResult& check) {
+void ZeroManufactureHandler::ContinueInvalidWrite(Ptr p, const void* src, size_t n,
+                                                  const Memory::CheckResult& check) {
   // Discard.
   (void)p;
   (void)src;

@@ -12,17 +12,16 @@
 
 namespace fob {
 
-class ZeroManufactureHandler : public CheckedPolicyHandler {
+class ZeroManufactureHandler : public PolicyHandler {
  public:
-  using CheckedPolicyHandler::CheckedPolicyHandler;
+  using PolicyHandler::PolicyHandler;
 
   AccessPolicy policy() const override { return AccessPolicy::kZeroManufacture; }
 
- protected:
-  void OnInvalidRead(Ptr p, void* dst, size_t n,
-                     const Memory::CheckResult& check) override;
-  void OnInvalidWrite(Ptr p, const void* src, size_t n,
-                      const Memory::CheckResult& check) override;
+  void ContinueInvalidRead(Ptr p, void* dst, size_t n,
+                           const Memory::CheckResult& check) override;
+  void ContinueInvalidWrite(Ptr p, const void* src, size_t n,
+                            const Memory::CheckResult& check) override;
 };
 
 }  // namespace fob

@@ -92,8 +92,8 @@ std::string MemLog::Summary() const {
   os << "memory-error log: " << total_ << " total (" << write_errors_ << " writes, "
      << read_errors_ << " reads)\n";
   if (translation_hits_ + translation_misses_ > 0) {
-    os << "  page-map fast path: " << translation_hits_ << " hits, " << translation_misses_
-       << " misses\n";
+    os << "  access checks: " << translation_hits_ << " in bounds, " << translation_misses_
+       << " invalid\n";
   }
   if (boundless_.any()) {
     os << "  boundless store: " << boundless_.pages_live << " pages live ("

@@ -141,9 +141,9 @@ class MemLog {
   // parse (access #42)". `record` must be one of this log's.
   std::string ToString(const MemErrorRecord& record) const;
 
-  // Page-map fast-path resolution stats (Shard::translation_hits/_misses),
-  // folded in at merge points so a merged log carries the whole pool's
-  // translation profile alongside its error profile.
+  // Access-check outcome counters (Shard::translation_hits/_misses: in
+  // bounds vs invalid), folded in at merge points so a merged log carries
+  // the whole pool's access profile alongside its error profile.
   void AddTranslationStats(uint64_t hits, uint64_t misses) {
     translation_hits_ += hits;
     translation_misses_ += misses;

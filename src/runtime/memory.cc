@@ -1,7 +1,6 @@
 #include "src/runtime/memory.h"
 
 #include <cassert>
-#include <cstring>
 #include <exception>
 
 #include "src/runtime/access_cursor.h"
@@ -164,62 +163,6 @@ void Memory::BumpAccess() {
   }
 }
 
-bool Memory::TryFastRead(Ptr p, void* dst, size_t n) {
-  if (n == 0 || p.unit == kInvalidUnit) {
-    return false;  // degenerate accesses keep their historical path
-  }
-  const PageMap::Entry* entry = shard_->page_map.Find(p.addr);
-  if (entry == nullptr || entry->data == nullptr || entry->owner != p.unit) {
-    ++shard_->translation_misses;
-    return false;
-  }
-  // The owner invariant guarantees the unit is live; Lookup is a vector
-  // index, not a search.
-  const DataUnit* unit = shard_->table.Lookup(p.unit);
-  if (!unit->Contains(p.addr, n)) {
-    ++shard_->translation_misses;
-    return false;
-  }
-  ++shard_->translation_hits;
-  size_t offset = static_cast<size_t>(p.addr - PageBaseOf(p.addr));
-  if (offset + n <= kPageSize) {
-    std::memcpy(dst, entry->data + offset, n);
-  } else {
-    // Straddles into the next page of the same unit; the multi-entry TLB
-    // absorbs the extra page translation.
-    bool ok = shard_->space.Read(p.addr, dst, n);
-    assert(ok && "in-bounds unit memory must be mapped");
-    (void)ok;
-  }
-  return true;
-}
-
-bool Memory::TryFastWrite(Ptr p, const void* src, size_t n) {
-  if (n == 0 || p.unit == kInvalidUnit) {
-    return false;
-  }
-  const PageMap::Entry* entry = shard_->page_map.Find(p.addr);
-  if (entry == nullptr || entry->data == nullptr || entry->owner != p.unit) {
-    ++shard_->translation_misses;
-    return false;
-  }
-  const DataUnit* unit = shard_->table.Lookup(p.unit);
-  if (!unit->Contains(p.addr, n)) {
-    ++shard_->translation_misses;
-    return false;
-  }
-  ++shard_->translation_hits;
-  size_t offset = static_cast<size_t>(p.addr - PageBaseOf(p.addr));
-  if (offset + n <= kPageSize) {
-    std::memcpy(entry->data + offset, src, n);
-  } else {
-    bool ok = shard_->space.Write(p.addr, src, n);
-    assert(ok && "in-bounds unit memory must be mapped");
-    (void)ok;
-  }
-  return true;
-}
-
 Memory::CheckResult Memory::CheckAccess(Ptr p, size_t n) const {
   CheckResult result;
   result.unit = shard_->table.Lookup(p.unit);
@@ -266,38 +209,8 @@ void Memory::LogError(bool is_write, Ptr p, size_t n, const CheckResult& check) 
   shard_->log.Record(*slot.stat, record);
 }
 
-void Memory::SiteDispatchRead(Ptr p, void* dst, size_t n) {
-  CheckResult check = CheckAccess(p, n);
-  if (check.in_bounds) {
-    bool ok = shard_->space.Read(p.addr, dst, n);
-    assert(ok && "in-bounds unit memory must be mapped");
-    (void)ok;
-    return;
-  }
-  SiteId site = SiteOf(check, AccessKind::kRead);
-  PolicyHandler& handler = shard_->policy_table->ResolveSite(site);
-  // Unchecked (Standard) sites get no error record — the raw access landing
-  // or segfaulting IS the continuation; see StandardHandler::Continue*.
-  if (handler.checked()) {
-    LogError(/*is_write=*/false, p, n, check);
-  }
-  handler.ContinueInvalidRead(p, dst, n, check);
-}
-
-void Memory::SiteDispatchWrite(Ptr p, const void* src, size_t n) {
-  CheckResult check = CheckAccess(p, n);
-  if (check.in_bounds) {
-    bool ok = shard_->space.Write(p.addr, src, n);
-    assert(ok && "in-bounds unit memory must be mapped");
-    (void)ok;
-    return;
-  }
-  SiteId site = SiteOf(check, AccessKind::kWrite);
-  PolicyHandler& handler = shard_->policy_table->ResolveSite(site);
-  if (handler.checked()) {
-    LogError(/*is_write=*/true, p, n, check);
-  }
-  handler.ContinueInvalidWrite(p, src, n, check);
+PolicyHandler& Memory::InvalidAccessHandler(const CheckResult& check, AccessKind kind) {
+  return uniform_ ? *handler_ : shard_->policy_table->ResolveSite(SiteOf(check, kind));
 }
 
 size_t Memory::TryOobRunRead(Ptr p, void* dst, size_t n) {
@@ -311,10 +224,8 @@ size_t Memory::TryOobRunRead(Ptr p, void* dst, size_t n) {
   if (check.status != PointerStatus::kOobAbove) {
     return 0;
   }
-  PolicyHandler* handler =
-      uniform_ ? handler_
-               : &shard_->policy_table->ResolveSite(SiteOf(check, AccessKind::kRead));
-  if (!handler->checked() || !handler->BatchesOobRuns()) {
+  PolicyHandler& handler = InvalidAccessHandler(check, AccessKind::kRead);
+  if (!handler.checked() || !handler.BatchesOobRuns()) {
     return 0;
   }
   for (size_t i = 0; i < n; ++i) {
@@ -322,7 +233,7 @@ size_t Memory::TryOobRunRead(Ptr p, void* dst, size_t n) {
     ++shard_->translation_misses;
     LogError(/*is_write=*/false, p + static_cast<int64_t>(i), 1, check);
   }
-  handler->OobRunRead(p, dst, n, check);
+  handler.OobRunRead(p, dst, n, check);
   return n;
 }
 
@@ -334,10 +245,8 @@ size_t Memory::TryOobRunWrite(Ptr p, const void* src, size_t n) {
   if (check.status != PointerStatus::kOobAbove) {
     return 0;
   }
-  PolicyHandler* handler =
-      uniform_ ? handler_
-               : &shard_->policy_table->ResolveSite(SiteOf(check, AccessKind::kWrite));
-  if (!handler->checked() || !handler->BatchesOobRuns()) {
+  PolicyHandler& handler = InvalidAccessHandler(check, AccessKind::kWrite);
+  if (!handler.checked() || !handler.BatchesOobRuns()) {
     return 0;
   }
   for (size_t i = 0; i < n; ++i) {
@@ -345,32 +254,46 @@ size_t Memory::TryOobRunWrite(Ptr p, const void* src, size_t n) {
     ++shard_->translation_misses;
     LogError(/*is_write=*/true, p + static_cast<int64_t>(i), 1, check);
   }
-  handler->OobRunWrite(p, src, n, check);
+  handler.OobRunWrite(p, src, n, check);
   return n;
 }
 
 void Memory::Write(Ptr p, const void* src, size_t n) {
   BumpAccess();
-  if (TryFastWrite(p, src, n)) {
+  CheckResult check = CheckAccess(p, n);
+  if (check.in_bounds) {
+    ++shard_->translation_hits;
+    bool ok = shard_->space.Write(p.addr, src, n);
+    assert(ok && "in-bounds unit memory must be mapped");
+    (void)ok;
     return;
   }
-  if (uniform_) {
-    handler_->Write(p, src, n);
-    return;
+  ++shard_->translation_misses;
+  PolicyHandler& handler = InvalidAccessHandler(check, AccessKind::kWrite);
+  // Unchecked (Standard) sites get no error record — the raw access landing
+  // or segfaulting IS the continuation; see StandardHandler.
+  if (handler.checked()) {
+    LogError(/*is_write=*/true, p, n, check);
   }
-  SiteDispatchWrite(p, src, n);
+  handler.ContinueInvalidWrite(p, src, n, check);
 }
 
 void Memory::Read(Ptr p, void* dst, size_t n) {
   BumpAccess();
-  if (TryFastRead(p, dst, n)) {
+  CheckResult check = CheckAccess(p, n);
+  if (check.in_bounds) {
+    ++shard_->translation_hits;
+    bool ok = shard_->space.Read(p.addr, dst, n);
+    assert(ok && "in-bounds unit memory must be mapped");
+    (void)ok;
     return;
   }
-  if (uniform_) {
-    handler_->Read(p, dst, n);
-    return;
+  ++shard_->translation_misses;
+  PolicyHandler& handler = InvalidAccessHandler(check, AccessKind::kRead);
+  if (handler.checked()) {
+    LogError(/*is_write=*/false, p, n, check);
   }
-  SiteDispatchRead(p, dst, n);
+  handler.ContinueInvalidRead(p, dst, n, check);
 }
 
 void Memory::ReadSpan(Ptr p, void* dst, size_t n) {

@@ -7,17 +7,12 @@
 // src/runtime/shard.h). Memory mediates every load and store according to
 // the shard's PolicySpec:
 //
-//   * checking code: classify the access against the pointer's intended
-//     referent — an id-indexed ObjectTable::Lookup plus
-//     OobRegistry::Classify (src/softmem/oob_registry.h), no address search;
-//   * fast path: before any policy machinery runs, the access is offered to
-//     the shard's page-granular unit map (src/softmem/page_map.h) — a valid
-//     access through the sole live unit on its page resolves in O(1) with no
-//     handler dispatch, and behaves identically under every policy, so the
-//     fast path is taken unconditionally. Misses fall through to the full
-//     pipeline byte-identically. Access resolution is therefore three tiers:
-//     page-map fast path → checking code → policy resolution
-//     (see src/runtime/handlers/README.md);
+//   * checking code: classify every scalar access against the pointer's
+//     intended referent — an id-indexed ObjectTable::Lookup plus
+//     OobRegistry::Classify (src/softmem/oob_registry.h), no address search.
+//     This runs under every policy, Standard included: an in-bounds access
+//     is policy-independent and is copied through the address space's
+//     translation cache;
 //   * continuation code: for invalid accesses, do what the resolved policy
 //     says — crash (kStandard, by actually performing/faulting the raw
 //     access), terminate (kBoundsCheck), discard-writes/manufacture-reads
@@ -26,20 +21,24 @@
 //     manufacture zeros only (kZeroManufacture), or continue until an error
 //     budget is spent (kThreshold).
 //
+// Access resolution is therefore two steps — classify, then continue (see
+// src/runtime/handlers/README.md).
+//
 // Policy selection is per *site* (src/runtime/policy_spec.h): the PolicySpec
 // in Config maps SiteId -> AccessPolicy with a default fallback, resolved
 // through the shard's PolicyTable (src/runtime/policy_table.h) to
 // PolicyHandler strategies (src/runtime/handlers/). A uniform spec — the
 // common case, and what the legacy Memory(AccessPolicy) constructor builds —
-// binds one handler at construction so the hot access path stays a single
-// virtual dispatch, exactly as before per-site resolution existed. A mixed
-// spec routes only *invalid* accesses through site resolution: in-bounds
-// accesses are policy-independent, so the per-site machinery costs nothing
-// until the checking code actually fails.
+// binds one handler at construction; a mixed spec resolves the invalid
+// access's site to its handler. Either way only *invalid* accesses reach a
+// handler, so the per-site machinery costs nothing until the checking code
+// actually fails.
 //
-// The Standard policy skips the checking code entirely and touches the page
-// map only, so the measured gap between Standard and the checked policies is
-// the cost of the inserted dynamic checks.
+// The scalar path classifies under every policy, so Standard differs from
+// the checked policies only in its continuation (the raw access, unlogged:
+// it lands or segfaults) and in AccessCursor, where it block-copies raw
+// instead of caching unit bounds. On valid scalar accesses every policy
+// pays the same check.
 //
 // An invalid access under a checked policy is logged at its error site
 // (LogError): the site resolves through a small per-Memory cache keyed on
@@ -148,8 +147,10 @@ class Memory {
 
   // ---- Checked access ----------------------------------------------------
 
-  // One n-byte access: a single budget charge and a single classification;
-  // an invalid access produces one log record covering all n bytes.
+  // One n-byte access: a single budget charge and a single classification.
+  // An in-bounds access is copied and counted as a translation hit; an
+  // invalid one counts a miss, produces one log record covering all n bytes
+  // (unless its policy is Standard) and runs its policy's continuation.
   void Read(Ptr p, void* dst, size_t n);
   void Write(Ptr p, const void* src, size_t n);
 
@@ -206,7 +207,7 @@ class Memory {
   MemLog& log() { return shard_->log; }
   const MemLog& log() const { return shard_->log; }
   uint64_t access_count() const { return shard_->accesses; }
-  // Page-map fast-path resolution counters (see Shard::translation_hits).
+  // Access-check outcome counters (see Shard::translation_hits).
   uint64_t translation_hits() const { return shard_->translation_hits; }
   uint64_t translation_misses() const { return shard_->translation_misses; }
   void set_access_budget(uint64_t budget) { shard_->config.access_budget = budget; }
@@ -236,15 +237,6 @@ class Memory {
   friend class AccessCursor;
 
   void BumpAccess();
-  // Tier 1: resolve the access through the shard's page map alone. Returns
-  // true (access performed) only when the full checking code would have
-  // classified it kInBounds — a live sole-owner page whose owner is p's
-  // intended referent and whose extent contains [addr, addr+n) — which is
-  // policy-independent, so hits bypass dispatch for every policy including
-  // Standard. A false return performed nothing and consumed nothing; the
-  // caller falls into the interval-search tiers byte-identically.
-  bool TryFastRead(Ptr p, void* dst, size_t n);
-  bool TryFastWrite(Ptr p, const void* src, size_t n);
   // Batched handling of a whole run of out-of-bounds-above bytes through one
   // live referent (the span clients' OOB tail: AccessCursor's slow branch).
   // Returns n if the run was handled — observably identical to the per-byte
@@ -278,11 +270,10 @@ class Memory {
   }
   // Records one invalid access at its resolved site.
   void LogError(bool is_write, Ptr p, size_t n, const CheckResult& check);
+  // The handler that continues an invalid access: the bound fallback under
+  // a uniform spec, the site-resolved one under a mixed spec.
+  PolicyHandler& InvalidAccessHandler(const CheckResult& check, AccessKind kind);
 
-  // The mixed-spec access path: classification in the core, continuation
-  // via the site-resolved handler.
-  void SiteDispatchRead(Ptr p, void* dst, size_t n);
-  void SiteDispatchWrite(Ptr p, const void* src, size_t n);
   // The handler governing free/realloc of p under a mixed spec; fills
   // `check` with the classification it resolved the site from, so error
   // paths can log without classifying twice.

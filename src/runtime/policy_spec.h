@@ -66,10 +66,11 @@ class PolicySpec {
 
   AccessPolicy fallback() const { return fallback_; }
 
-  // True when no per-site overrides exist. Uniform specs take the exact
-  // single-handler fast path in Memory (bit-identical to the pre-PolicySpec
-  // runtime); any override — even one that maps to the fallback policy —
-  // routes accesses through the per-site dispatch path.
+  // True when no per-site overrides exist. Uniform specs continue every
+  // invalid access through Memory's one bound fallback handler
+  // (bit-identical to the pre-PolicySpec runtime); any override — even one
+  // that maps to the fallback policy — resolves each invalid access's site
+  // to its handler.
   bool uniform() const { return overrides_.empty(); }
 
   const std::map<SiteId, AccessPolicy>& overrides() const { return overrides_; }

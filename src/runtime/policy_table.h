@@ -38,7 +38,8 @@ class PolicyTable {
   // not reset a running process. This is the epoch-boundary hook the
   // adaptive controller (src/runtime/adaptive.h) uses to promote/demote
   // sites without discarding the shard. Callers going through Memory must
-  // use Memory::Rebind, which also refreshes the façade's fast-path caches.
+  // use Memory::Rebind, which also refreshes the façade's bound fallback
+  // handler.
   void Rebind(const PolicySpec& spec) { spec_ = spec; }
 
   // The handler accesses use when the site has no override (and the only

@@ -10,8 +10,6 @@ Shard::Shard(Memory& owner, const ShardConfig& cfg)
       sequence(cfg.sequence),
       log(cfg.log_capacity),
       boundless(cfg.boundless_capacity) {
-  space.AttachPageMap(&page_map);
-  table.AttachPageMap(&page_map);
   heap = std::make_unique<Heap>(space, table, kHeapBase, config.heap_bytes);
   stack = std::make_unique<Stack>(space, table, kStackLow, config.stack_bytes);
   space.Map(kGlobalBase, config.global_bytes);

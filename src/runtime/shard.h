@@ -11,8 +11,9 @@
 // and its atomic restart counter (src/net/frontend.h).
 //
 // Memory (src/runtime/memory.h) is the access-mediation façade over exactly
-// one Shard: it owns the shard handle, charges the access budget, runs the
-// checking code, and routes continuations through the shard's policy table.
+// one Shard: it owns the shard handle, charges the access budget, classifies
+// every scalar access against its referent (under every policy), and routes
+// invalid accesses' continuations through the shard's policy table.
 // Handlers and the span fast path reach the same bundle through
 // Memory::shard().
 //
@@ -36,7 +37,6 @@
 #include "src/softmem/heap.h"
 #include "src/softmem/object_table.h"
 #include "src/softmem/oob_registry.h"
-#include "src/softmem/page_map.h"
 #include "src/softmem/stack.h"
 
 namespace fob {
@@ -93,12 +93,6 @@ class Shard {
 
   ShardConfig config;
   std::unique_ptr<PolicyTable> policy_table;
-  // The O(1) address→unit translation layer. Declared before the space and
-  // table so it outlives both; the constructor attaches it to each before
-  // any region is mapped or unit registered, so every Map/Unmap and
-  // Register/Retire in this bundle's lifetime flows through it and the map
-  // can never skew from the state it summarizes.
-  PageMap page_map;
   AddressSpace space;
   ObjectTable table;
   std::unique_ptr<Heap> heap;
@@ -110,11 +104,14 @@ class Shard {
   OobRegistry oob;
   BoundlessStore boundless;
   uint64_t accesses = 0;
-  // Fast-path resolution counters: a hit is a checked access that resolved
-  // through the page map alone; a miss fell into the checking code
-  // (Memory::CheckAccess). Deterministic for a given stream + seed +
-  // worker count (tests/test_shard.cc); surfaced through MemLog merges and
-  // BENCH_check_cost.json.
+  // Access-check outcome counters over scalar accesses (Memory::Read/Write)
+  // and batched out-of-bounds runs: a hit is an access the checking code
+  // classified in bounds against its referent, a miss one it classified
+  // invalid and handed to a policy continuation. Every policy classifies,
+  // so under a checked policy misses equal the access error records.
+  // AccessCursor's in-bounds block copies are not counted. Deterministic
+  // for a given stream + seed + worker count (tests/test_shard.cc);
+  // surfaced through MemLog merges and BENCH_check_cost.json.
   uint64_t translation_hits = 0;
   uint64_t translation_misses = 0;
 };

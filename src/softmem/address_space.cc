@@ -3,18 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
-#include "src/softmem/page_map.h"
 
 namespace fob {
-
-void AddressSpace::AttachPageMap(PageMap* map) {
-  page_map_ = map;
-  if (page_map_ != nullptr) {
-    for (const auto& [page, data] : pages_) {
-      page_map_->OnPageMapped(page, data.get());
-    }
-  }
-}
 
 void AddressSpace::Map(Addr base, size_t size) {
   if (size == 0) {
@@ -26,9 +16,6 @@ void AddressSpace::Map(Addr base, size_t size) {
     if (page >= kNullGuardSize && pages_.find(page) == pages_.end()) {
       auto data = std::make_unique<uint8_t[]>(kPageSize);
       std::memset(data.get(), 0, kPageSize);
-      if (page_map_ != nullptr) {
-        page_map_->OnPageMapped(page, data.get());
-      }
       pages_.emplace(page, std::move(data));
     }
     if (page == last) {
@@ -48,14 +35,10 @@ void AddressSpace::Unmap(Addr base, size_t size) {
     if (page >= base && page + kPageSize <= base + size) {
       // Drop the TLB slot with the page it points into: a later Map of the
       // same page allocates fresh storage, and serving reads or writes
-      // through the stale cached pointer would touch freed memory. Same for
-      // the attached page map's data pointer.
+      // through the stale cached pointer would touch freed memory.
       TranslationSlot& slot = tlb_[SlotIndex(page)];
       if (slot.page == page) {
         slot = TranslationSlot{};
-      }
-      if (page_map_ != nullptr) {
-        page_map_->OnPageUnmapped(page);
       }
       pages_.erase(page);
     }

@@ -34,8 +34,6 @@ inline constexpr Addr PageBaseOf(Addr addr) {
   return addr & ~static_cast<Addr>(kPageSize - 1);
 }
 
-class PageMap;
-
 class AddressSpace {
  public:
   AddressSpace() = default;
@@ -66,12 +64,6 @@ class AddressSpace {
   size_t mapped_bytes() const { return pages_.size() * kPageSize; }
   size_t page_count() const { return pages_.size(); }
 
-  // Attaches the page-granular translation map (src/softmem/page_map.h) this
-  // space notifies on Map/Unmap; existing pages are reported immediately, so
-  // attach order relative to mapping does not matter. One map per space
-  // (fob::Shard attaches its own at construction); pass nullptr to detach.
-  void AttachPageMap(PageMap* map);
-
  private:
   // Direct-mapped multi-entry translation cache (a software TLB): most
   // access streams touch a small working set of pages, and real compiled
@@ -94,7 +86,6 @@ class AddressSpace {
 
   std::unordered_map<Addr, std::unique_ptr<uint8_t[]>> pages_;
   mutable std::array<TranslationSlot, kTranslationSlots> tlb_{};
-  PageMap* page_map_ = nullptr;
 };
 
 }  // namespace fob

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/softmem/page_map.h"
 
 namespace fob {
 
@@ -42,9 +41,6 @@ UnitId ObjectTable::Register(Addr base, size_t size, UnitKind kind, std::string 
   size_t pos = LowerBound(base);
   by_base_.insert(by_base_.begin() + static_cast<std::ptrdiff_t>(pos),
                   Interval{base, unit.id});
-  if (page_map_ != nullptr) {
-    page_map_->OnUnitRegistered(units_.back());
-  }
   return unit.id;
 }
 
@@ -65,34 +61,6 @@ void ObjectTable::Retire(UnitId id) {
   if (pos < by_base_.size() && by_base_[pos].base == unit.base && by_base_[pos].id == id) {
     by_base_.erase(by_base_.begin() + static_cast<std::ptrdiff_t>(pos));
   }
-  // Notified after the index drop, so owner refreshes only see survivors.
-  if (page_map_ != nullptr) {
-    page_map_->OnUnitRetired(unit, *this);
-  }
-}
-
-void ObjectTable::AttachPageMap(PageMap* map) {
-  page_map_ = map;
-  if (page_map_ != nullptr) {
-    for (const Interval& interval : by_base_) {
-      page_map_->OnUnitRegistered(units_[interval.id - 1]);
-    }
-  }
-}
-
-const DataUnit* ObjectTable::FirstLiveOverlap(Addr lo, Addr hi) const {
-  size_t pos = LowerBound(lo);
-  if (pos > 0) {
-    const DataUnit& prev = units_[by_base_[pos - 1].id - 1];
-    size_t span = prev.size == 0 ? 1 : prev.size;
-    if (prev.base + span > lo) {
-      return &prev;
-    }
-  }
-  if (pos < by_base_.size() && by_base_[pos].base < hi) {
-    return &units_[by_base_[pos].id - 1];
-  }
-  return nullptr;
 }
 
 const DataUnit* ObjectTable::Lookup(UnitId id) const {

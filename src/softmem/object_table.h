@@ -34,8 +34,6 @@ enum class UnitKind : uint8_t {
 
 const char* UnitKindName(UnitKind kind);
 
-class PageMap;
-
 struct DataUnit {
   UnitId id = kInvalidUnit;
   Addr base = 0;
@@ -74,17 +72,6 @@ class ObjectTable {
   // address.
   const DataUnit* LookupByAddress(Addr addr) const;
 
-  // The first live unit overlapping [lo, hi), or nullptr. Zero-size units
-  // span one byte for overlap purposes (matching OobRegistry::Classify).
-  // What PageMap refreshes a page's sole owner from on retirement.
-  const DataUnit* FirstLiveOverlap(Addr lo, Addr hi) const;
-
-  // Attaches the page-granular translation map notified on Register/Retire;
-  // already-live units are reported immediately, so attach order does not
-  // matter. One map per table (fob::Shard attaches its own at
-  // construction); pass nullptr to detach.
-  void AttachPageMap(PageMap* map);
-
   size_t live_count() const { return by_base_.size(); }
   size_t total_registered() const { return units_.size(); }
 
@@ -107,7 +94,6 @@ class ObjectTable {
   std::vector<DataUnit> units_;     // units_[id - 1]
   std::vector<Interval> by_base_;   // live units, sorted by base address
   uint64_t retire_epoch_ = 0;
-  PageMap* page_map_ = nullptr;
 };
 
 }  // namespace fob

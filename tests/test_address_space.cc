@@ -5,8 +5,6 @@
 #include <cstring>
 #include <string>
 
-#include "src/softmem/page_map.h"
-
 namespace fob {
 namespace {
 
@@ -210,50 +208,6 @@ TEST(AddressSpaceTest, UnmapSpanningManyCachedPages) {
     ASSERT_TRUE(space.Read(kBase + i * kPageSize, &out, 1));
     EXPECT_EQ(out, 0);
   }
-}
-
-// ---- Page-map coherence through Map/Unmap ---------------------------------
-
-TEST(AddressSpacePageMapTest, MapAndUnmapDrivePageRecords) {
-  AddressSpace space;
-  PageMap map;
-  space.AttachPageMap(&map);
-  constexpr Addr kBase = 0x100000;
-  space.Map(kBase, 2 * kPageSize);
-  EXPECT_TRUE(map.HasData(kBase));
-  EXPECT_TRUE(map.HasData(kBase + kPageSize + 99));
-  EXPECT_FALSE(map.HasData(kBase + 2 * kPageSize));
-  space.Unmap(kBase, kPageSize);
-  EXPECT_FALSE(map.HasData(kBase));
-  EXPECT_TRUE(map.HasData(kBase + kPageSize));
-}
-
-TEST(AddressSpacePageMapTest, AttachPopulatesExistingPages) {
-  AddressSpace space;
-  constexpr Addr kBase = 0x100000;
-  space.Map(kBase, kPageSize);
-  PageMap map;
-  space.AttachPageMap(&map);
-  EXPECT_TRUE(map.HasData(kBase));
-  EXPECT_FALSE(map.HasData(kBase + kPageSize));
-}
-
-TEST(AddressSpacePageMapTest, RemapRefreshesDataPointer) {
-  AddressSpace space;
-  PageMap map;
-  space.AttachPageMap(&map);
-  constexpr Addr kBase = 0x100000;
-  space.Map(kBase, kPageSize);
-  space.Unmap(kBase, kPageSize);
-  EXPECT_FALSE(map.HasData(kBase));
-  space.Map(kBase, kPageSize);
-  // The record must point at the fresh page's storage.
-  EXPECT_TRUE(map.HasData(kBase));
-  const PageMap::Entry* entry = map.Find(kBase);
-  ASSERT_NE(entry, nullptr);
-  uint8_t v = 0x42;
-  ASSERT_TRUE(space.Write(kBase + 5, &v, 1));
-  EXPECT_EQ(entry->data[5], 0x42);
 }
 
 }  // namespace

@@ -54,13 +54,6 @@ TEST(LineChannelEofTest, ServerSideCloseMirrors) {
   EXPECT_TRUE(channel.ClientAtEof());
 }
 
-TEST(LineChannelEofTest, LegacyOptionalApiStillConflates) {
-  LineChannel channel;
-  EXPECT_FALSE(channel.ServerReceive().has_value());  // no input yet
-  channel.ClientClose();
-  EXPECT_FALSE(channel.ServerReceive().has_value());  // closed: same nullopt
-}
-
 // ---- Wire serialization -----------------------------------------------------
 
 TEST(ServerWireTest, RequestRoundTripsThroughOneLine) {

@@ -19,9 +19,9 @@ TEST(ChannelTest, ClientToServerFifo) {
   LineChannel channel;
   channel.ClientSend("one");
   channel.ClientSend("two");
-  EXPECT_EQ(channel.ServerReceive(), "one");
-  EXPECT_EQ(channel.ServerReceive(), "two");
-  EXPECT_FALSE(channel.ServerReceive().has_value());
+  EXPECT_EQ(channel.ServerReceiveLine().line, "one");
+  EXPECT_EQ(channel.ServerReceiveLine().line, "two");
+  EXPECT_EQ(channel.ServerReceiveLine().status, LineChannel::RecvStatus::kNoInput);
 }
 
 TEST(ChannelTest, ServerToClient) {

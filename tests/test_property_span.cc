@@ -278,9 +278,9 @@ TEST_P(SpanEquivalenceTest, CursorRevalidatesAfterFree) {
 
 // Stale-bounds hazard through the cursor: after the cached unit retires and
 // a fresh allocation reuses its address, the warmed cursor's fallback path
-// (now fronted by the page-map fast path in Memory) must classify accesses
-// through the stale pointer dangling — never serve them from the fresh
-// unit now owning the page — and keep byte-loop equivalence throughout.
+// must classify accesses through the stale pointer dangling — never serve
+// them from the fresh unit now at that address — and keep byte-loop
+// equivalence throughout.
 TEST_P(SpanEquivalenceTest, CursorStaleBoundsAfterAddressReuse) {
   auto [policy, seed] = GetParam();
   (void)seed;

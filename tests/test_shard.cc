@@ -87,13 +87,13 @@ std::map<SiteId, std::string> SiteTable(const MemLog& log) {
 }
 
 // MemLog::Summary() without the lines that follow the worker count by
-// design rather than the errors: the page-map and scheduler lines, and the
-// detail-ring line (a merged log's ring holds every shard's ring).
+// design rather than the errors: the access-check and scheduler lines, and
+// the detail-ring line (a merged log's ring holds every shard's ring).
 std::string ErrorDigest(const MemLog& log) {
   std::istringstream lines(log.Summary());
   std::string digest;
   for (std::string line; std::getline(lines, line);) {
-    if (line.rfind("  page-map", 0) != 0 && line.rfind("  scheduler", 0) != 0 &&
+    if (line.rfind("  access checks", 0) != 0 && line.rfind("  scheduler", 0) != 0 &&
         line.rfind("  detail ring", 0) != 0) {
       digest += line;
       digest += '\n';
@@ -199,7 +199,7 @@ TEST(ShardDeterminismTest, McBrowseMergedLogIdenticalFor1And2And8Workers) {
   EXPECT_GT(app->memory().log().total_errors(), 1000u);
 }
 
-// The page-map fast-path counters are part of the deterministic outcome:
+// The access-check counters are part of the deterministic outcome:
 // identical stream + seed + worker count must produce identical merged
 // translation hit/miss totals (shards are disjoint and access streams are
 // replayed identically, so the counters can only differ if dispatch

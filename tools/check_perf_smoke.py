@@ -4,14 +4,17 @@
 Over BENCH_check_cost.json: pairs each checked benchmark
 (BM_CheckCost*FailureOblivious*) with its raw counterpart (same name with
 Standard in place of FailureOblivious, same args) and fails if the
-checked/raw slowdown exceeds --max-ratio. With the page-granular fast path
-in place, checked scalar reads should sit within a small constant of raw
-ones on the fast-path regimes; a ratio past the bound means the fast path
-regressed (map incoherence, a miss-everything bug, or a slow tier leak into
-the hot loop).
+checked/raw slowdown exceeds --max-ratio. Every scalar access is
+classified against its referent by id, so checked scalar reads should sit
+within a small constant of raw ones; a ratio past the bound means per-access
+work crept into the valid-access path.
 
-The slow-tier pin (BM_ResidentProbe*) is deliberately named outside the
-pairing: mixed-page probes are allowed to scale with the table.
+It also pairs each BM_ResidentProbeFailureOblivious/N (reads scattered over
+small blocks packed many to a page) with BM_CheckCostFailureOblivious/N
+(sequential reads of one large block, same live population) under the same
+--max-ratio. The check keys on the pointer's referent, not on its page, so
+packing must not make a valid access dearer; past the bound, a lookup that
+depends on page ownership or on the table's size crept back in.
 
 With --boundless BENCH_boundless.json: additionally pairs each
 BM_BoundlessSparseSprayPaged/N with BM_BoundlessSparseSprayFlat/N and fails
@@ -234,6 +237,20 @@ def main():
         to_baseline=lambda n: n.replace("FailureOblivious", "Standard"),
         max_ratio=args.max_ratio,
         what="raw")
+
+    probe_pairs, probe_failures = check_pairs(
+        runs,
+        select=lambda n: n.startswith("BM_ResidentProbeFailureOblivious/"),
+        to_baseline=lambda n: n.replace("BM_ResidentProbeFailureOblivious",
+                                        "BM_CheckCostFailureOblivious"),
+        max_ratio=args.max_ratio,
+        what="sequential checked")
+    if probe_pairs == 0:
+        print("error: no resident-probe/sequential pairs found; packed-block gate is vacuous",
+              file=sys.stderr)
+        return 1
+    pairs += probe_pairs
+    failures += probe_failures
 
     if args.boundless is not None:
         loaded = load_runs(args.boundless)
