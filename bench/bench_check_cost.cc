@@ -19,8 +19,8 @@
 //   * BM_CheckCostRandom{Standard,FailureOblivious}/{N,dist} — random
 //     accesses over a 1 MiB arena: dist 0 is a uniform data-dependent
 //     pointer chase (a Sattolo cycle, memcached-style hash probing), dist 1
-//     is a Zipf(s=1.2) offset stream (hot-key skew). Exercises the
-//     multi-entry translation cache across many pages.
+//     is a Zipf(s=1.2) offset stream (hot-key skew), touching many
+//     pages of the heap region at random.
 //   * BM_ResidentProbeFailureOblivious/N — scalar reads scattered over the
 //     packed 48-byte resident blocks themselves, ~85 to a page. The check
 //     keys on the referent, not the page, so this should track

@@ -121,7 +121,7 @@ Ptr Memory::AllocGlobal(size_t size, std::string name) {
     size = 1;
   }
   size_t reserved = (size + 15) & ~static_cast<size_t>(15);
-  if (shard_->global_cursor + reserved > shard_->global_end) {
+  if (shard_->global_cursor + reserved > Shard::kGlobalBase + Shard::kGlobalBytes) {
     return kNullPtr;
   }
   Addr base = shard_->global_cursor;

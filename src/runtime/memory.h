@@ -11,8 +11,8 @@
 //     intended referent — an id-indexed ObjectTable::Lookup plus
 //     OobRegistry::Classify (src/softmem/oob_registry.h), no address search.
 //     This runs under every policy, Standard included: an in-bounds access
-//     is policy-independent and is copied through the address space's
-//     translation cache;
+//     is policy-independent and is one copy to or from its address-space
+//     region's host buffer;
 //   * continuation code: for invalid accesses, do what the resolved policy
 //     says — crash (kStandard, by actually performing/faulting the raw
 //     access), terminate (kBoundsCheck), discard-writes/manufacture-reads

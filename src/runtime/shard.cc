@@ -10,11 +10,10 @@ Shard::Shard(Memory& owner, const ShardConfig& cfg)
       sequence(cfg.sequence),
       log(cfg.log_capacity),
       boundless(cfg.boundless_capacity) {
-  heap = std::make_unique<Heap>(space, table, kHeapBase, config.heap_bytes);
-  stack = std::make_unique<Stack>(space, table, kStackLow, config.stack_bytes);
-  space.Map(kGlobalBase, config.global_bytes);
+  heap = std::make_unique<Heap>(space, table, kHeapBase, kHeapBytes);
+  stack = std::make_unique<Stack>(space, table, kStackLow, kStackBytes);
+  space.Map(kGlobalBase, kGlobalBytes);
   global_cursor = kGlobalBase;
-  global_end = kGlobalBase + config.global_bytes;
 }
 
 Shard::~Shard() = default;

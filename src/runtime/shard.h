@@ -53,9 +53,6 @@ struct ShardConfig {
   // with per-site overrides enables the Durieux-style search-space sweep.
   PolicySpec policy = AccessPolicy::kFailureOblivious;
   SequenceKind sequence = SequenceKind::kPaper;
-  size_t heap_bytes = 16 << 20;
-  size_t global_bytes = 1 << 20;
-  size_t stack_bytes = 1 << 20;
   size_t log_capacity = MemLog::kDefaultCapacity;
   // 0 = unlimited. When nonzero, the access that exceeds the budget throws
   // Fault{kBudgetExhausted}; the harness uses this to detect hangs.
@@ -78,9 +75,14 @@ struct ShardConfig {
 class Shard {
  public:
   // Region layout (fixed; tests rely on the ordering globals < heap < stack).
+  // Each region is mapped once, when the shard is built; the stack region
+  // also maps Stack::kTopPad bytes above kStackLow + kStackBytes.
   static constexpr Addr kGlobalBase = 0x0000000000100000ull;
+  static constexpr size_t kGlobalBytes = 1 << 20;
   static constexpr Addr kHeapBase = 0x0000000010000000ull;
+  static constexpr size_t kHeapBytes = 16 << 20;
   static constexpr Addr kStackLow = 0x00007fffff000000ull;
+  static constexpr size_t kStackBytes = 1 << 20;
 
   // `owner` is the Memory this shard backs: the policy table's handlers are
   // constructed against it. The constructor only stores the reference.
@@ -98,7 +100,6 @@ class Shard {
   std::unique_ptr<Heap> heap;
   std::unique_ptr<Stack> stack;
   Addr global_cursor = 0;
-  Addr global_end = 0;
   ValueSequence sequence;
   MemLog log;
   OobRegistry oob;
@@ -107,7 +108,10 @@ class Shard {
   // Access-check outcome counters over scalar accesses (Memory::Read/Write)
   // and batched out-of-bounds runs: a hit is an access the checking code
   // classified in bounds against its referent, a miss one it classified
-  // invalid and handed to a policy continuation. Every policy classifies,
+  // invalid and handed to a policy continuation. They count check outcomes,
+  // not address translations (translation is a region compare plus an
+  // offset; see src/softmem/address_space.h); the names are kept because
+  // the serving benchmark reads them. Every policy classifies,
   // so under a checked policy misses equal the access error records.
   // AccessCursor's in-bounds block copies are not counted. Deterministic
   // for a given stream + seed + worker count (tests/test_shard.cc);

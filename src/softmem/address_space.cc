@@ -1,148 +1,99 @@
 #include "src/softmem/address_space.h"
 
-#include <algorithm>
-#include <cstring>
+#include <sys/mman.h>
 
+#include <algorithm>
+#include <cassert>
+#include <cstring>
+#include <new>
 
 namespace fob {
+
+namespace {
+
+// Region memory is an anonymous mapping, which the kernel zero-fills on
+// first touch, so building a shard zeroes nothing up front. The buffer is
+// aligned to and advised for transparent huge pages, so the pages a shard
+// does touch fault in a few 2 MiB at a time rather than one 4 KiB page each.
+constexpr size_t kHugePageSize = 2 << 20;
+
+size_t RoundUpToHugePage(size_t n) { return (n + kHugePageSize - 1) & ~(kHugePageSize - 1); }
+
+}  // namespace
+
+AddressSpace::~AddressSpace() {
+  for (const Region& region : regions_) {
+    munmap(region.mapping, region.mapping_bytes);
+  }
+}
 
 void AddressSpace::Map(Addr base, size_t size) {
   if (size == 0) {
     return;
   }
-  Addr first = PageBaseOf(base);
-  Addr last = PageBaseOf(base + size - 1);
-  for (Addr page = first;; page += kPageSize) {
-    if (page >= kNullGuardSize && pages_.find(page) == pages_.end()) {
-      auto data = std::make_unique<uint8_t[]>(kPageSize);
-      std::memset(data.get(), 0, kPageSize);
-      pages_.emplace(page, std::move(data));
-    }
-    if (page == last) {
-      break;
-    }
-  }
-}
-
-void AddressSpace::Unmap(Addr base, size_t size) {
-  if (size == 0) {
+  Addr first = std::max(PageBaseOf(base), kNullGuardSize);
+  Addr end = PageBaseOf(base + size - 1) + kPageSize;
+  if (first >= end) {
     return;
   }
-  Addr first = PageBaseOf(base);
-  Addr last = PageBaseOf(base + size - 1);
-  for (Addr page = first;; page += kPageSize) {
-    // Only unmap pages fully inside the range.
-    if (page >= base && page + kPageSize <= base + size) {
-      // Drop the TLB slot with the page it points into: a later Map of the
-      // same page allocates fresh storage, and serving reads or writes
-      // through the stale cached pointer would touch freed memory.
-      TranslationSlot& slot = tlb_[SlotIndex(page)];
-      if (slot.page == page) {
-        slot = TranslationSlot{};
-      }
-      pages_.erase(page);
-    }
-    if (page == last) {
-      break;
-    }
+  for (const Region& region : regions_) {
+    assert((end < region.base || first > region.base + region.size) &&
+           "regions must neither overlap nor abut");
+    (void)region;
   }
+  Region region{first, static_cast<size_t>(end - first), nullptr, nullptr, 0};
+  // One spare huge page of reservation lets data start on a huge-page
+  // boundary; the unused slack is never touched, so it costs no memory.
+  region.mapping_bytes = RoundUpToHugePage(region.size) + kHugePageSize;
+  region.mapping = mmap(nullptr, region.mapping_bytes, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (region.mapping == MAP_FAILED) {
+    throw std::bad_alloc();
+  }
+  uintptr_t aligned = RoundUpToHugePage(reinterpret_cast<uintptr_t>(region.mapping));
+  region.data = reinterpret_cast<uint8_t*>(aligned);
+  // Advice only: where huge pages are unavailable the region still reads as
+  // zeros, faulting in 4 KiB at a time.
+  madvise(region.data, RoundUpToHugePage(region.size), MADV_HUGEPAGE);
+  regions_.push_back(region);
 }
 
-bool AddressSpace::IsMapped(Addr addr, size_t size) const {
-  if (size == 0) {
-    size = 1;
-  }
-  Addr first = PageBaseOf(addr);
-  Addr last = PageBaseOf(addr + size - 1);
-  for (Addr page = first;; page += kPageSize) {
-    if (pages_.find(page) == pages_.end()) {
-      return false;
-    }
-    if (page == last) {
-      break;
+size_t AddressSpace::Translate(Addr addr, size_t n, uint8_t** host) const {
+  for (const Region& region : regions_) {
+    Addr offset = addr - region.base;  // wraps past size when addr < base
+    if (offset < region.size) {
+      *host = region.data + offset;
+      return std::min(n, static_cast<size_t>(region.size - offset));
     }
   }
-  return true;
-}
-
-uint8_t* AddressSpace::PageData(Addr page_base) {
-  TranslationSlot& slot = tlb_[SlotIndex(page_base)];
-  if (slot.page == page_base) {
-    return slot.data;
-  }
-  auto it = pages_.find(page_base);
-  if (it == pages_.end()) {
-    return nullptr;
-  }
-  slot.page = page_base;
-  slot.data = it->second.get();
-  return it->second.get();
-}
-
-const uint8_t* AddressSpace::PageData(Addr page_base) const {
-  TranslationSlot& slot = tlb_[SlotIndex(page_base)];
-  if (slot.page == page_base) {
-    return slot.data;
-  }
-  auto it = pages_.find(page_base);
-  if (it == pages_.end()) {
-    return nullptr;
-  }
-  slot.page = page_base;
-  slot.data = it->second.get();
-  return it->second.get();
+  return 0;
 }
 
 bool AddressSpace::Read(Addr addr, void* dst, size_t n) const {
-  uint8_t* out = static_cast<uint8_t*>(dst);
-  while (n > 0) {
-    Addr page = PageBaseOf(addr);
-    const uint8_t* data = PageData(page);
-    if (data == nullptr) {
-      return false;
-    }
-    size_t offset = static_cast<size_t>(addr - page);
-    size_t chunk = std::min(n, kPageSize - offset);
-    std::memcpy(out, data + offset, chunk);
-    out += chunk;
-    addr += chunk;
-    n -= chunk;
+  uint8_t* host = nullptr;
+  size_t mapped = Translate(addr, n, &host);
+  if (mapped != 0) {
+    std::memcpy(dst, host, mapped);
   }
-  return true;
+  return mapped == n;
 }
 
 bool AddressSpace::Write(Addr addr, const void* src, size_t n) {
-  const uint8_t* in = static_cast<const uint8_t*>(src);
-  while (n > 0) {
-    Addr page = PageBaseOf(addr);
-    uint8_t* data = PageData(page);
-    if (data == nullptr) {
-      return false;
-    }
-    size_t offset = static_cast<size_t>(addr - page);
-    size_t chunk = std::min(n, kPageSize - offset);
-    std::memcpy(data + offset, in, chunk);
-    in += chunk;
-    addr += chunk;
-    n -= chunk;
+  uint8_t* host = nullptr;
+  size_t mapped = Translate(addr, n, &host);
+  if (mapped != 0) {
+    std::memcpy(host, src, mapped);
   }
-  return true;
+  return mapped == n;
 }
 
 bool AddressSpace::Fill(Addr addr, uint8_t value, size_t n) {
-  while (n > 0) {
-    Addr page = PageBaseOf(addr);
-    uint8_t* data = PageData(page);
-    if (data == nullptr) {
-      return false;
-    }
-    size_t offset = static_cast<size_t>(addr - page);
-    size_t chunk = std::min(n, kPageSize - offset);
-    std::memset(data + offset, value, chunk);
-    addr += chunk;
-    n -= chunk;
+  uint8_t* host = nullptr;
+  size_t mapped = Translate(addr, n, &host);
+  if (mapped != 0) {
+    std::memset(host, value, mapped);
   }
-  return true;
+  return mapped == n;
 }
 
 }  // namespace fob

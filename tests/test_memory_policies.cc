@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/runtime/process.h"
 #include "src/softmem/fault.h"
@@ -104,6 +106,46 @@ TEST_P(PolicyTest, UnmappedAccessSegfaultsOnlyStandard) {
       break;
     default:
       EXPECT_TRUE(result.ok());
+  }
+}
+
+// Standard's raw writes across the edge of a mapped region: the mapped
+// prefix lands and the process faults at the first unmapped byte, whether
+// the bytes go one scalar WriteU8 at a time or as one span through
+// AccessCursor's raw block write. The edges are the heap's end, the top of
+// the stack's pad, and the end of globals (the globals-heap gap).
+TEST(RegionEdgeTest, StandardWriteFaultsAtFirstUnmappedByte) {
+  const Addr edges[] = {
+      Memory::kHeapBase + Shard::kHeapBytes,
+      Memory::kStackLow + Shard::kStackBytes + Stack::kTopPad,
+      Memory::kGlobalBase + Shard::kGlobalBytes,
+  };
+  const uint8_t bytes[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  for (Addr edge : edges) {
+    for (bool span : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << std::hex << "edge 0x" << edge
+                                        << (span ? " span" : " scalar"));
+      Memory m(AccessPolicy::kStandard);
+      Ptr p(edge - 4, kInvalidUnit);
+      RunResult result = RunAsProcess([&] {
+        if (span) {
+          m.WriteSpan(p, bytes, sizeof(bytes));
+        } else {
+          for (size_t i = 0; i < sizeof(bytes); ++i) {
+            m.WriteU8(p + static_cast<int64_t>(i), bytes[i]);
+          }
+        }
+      });
+      EXPECT_EQ(result.status, ExitStatus::kSegfault);
+      std::ostringstream fault_addr;
+      fault_addr << "unmapped address 0x" << std::hex << edge;
+      EXPECT_NE(result.detail.find(fault_addr.str()), std::string::npos) << result.detail;
+      uint8_t landed[4] = {0, 0, 0, 0};
+      ASSERT_TRUE(m.space().Read(edge - 4, landed, sizeof(landed)));
+      EXPECT_EQ(std::vector<uint8_t>(landed, landed + 4), std::vector<uint8_t>(bytes, bytes + 4));
+      uint8_t beyond = 0;
+      EXPECT_FALSE(m.space().Read(edge, &beyond, 1));
+    }
   }
 }
 
@@ -312,13 +354,14 @@ TEST(GlobalsTest, GlobalAllocationPersists) {
 }
 
 TEST(GlobalsTest, GlobalRegionExhaustion) {
-  Memory::Config config;
-  config.global_bytes = 4096;
-  Memory m(config);
-  Ptr a = m.AllocGlobal(4000, "big");
+  Memory m(AccessPolicy::kFailureOblivious);
+  // Fill the fixed globals region to its last 16-byte slot.
+  Ptr a = m.AllocGlobal(Shard::kGlobalBytes - 16, "big");
   EXPECT_FALSE(a.IsNull());
-  Ptr b = m.AllocGlobal(4000, "too much");
-  EXPECT_TRUE(b.IsNull());
+  Ptr b = m.AllocGlobal(16, "last");
+  EXPECT_FALSE(b.IsNull());
+  Ptr c = m.AllocGlobal(1, "too much");
+  EXPECT_TRUE(c.IsNull());
 }
 
 TEST(FreeSemanticsTest, FreeNullIsNoOpEverywhere) {
