@@ -31,6 +31,11 @@
 // 4-worker pool — sticky-only dispatch serializes it on one lane while
 // three sit idle; the steal plan spreads whole batches across them.
 //
+// BM_WireDecodeMcBrowse / BM_WireEncodeResponse: the wire codec alone, on
+// an MC browse line (benign or attack .tgz) and on the listing response a
+// failure-oblivious worker gives it — the decode and encode each lane runs
+// around ServerApp::Handle.
+//
 // Args: (policy index into kAllPolicies, worker threads, batch).
 // run_bench.sh folds the JSON output into BENCH_throughput.json and CI
 // uploads it with the other perf artifacts. The JSON context records the
@@ -42,6 +47,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -243,6 +250,45 @@ void BM_FrontendImbalancedSticky(benchmark::State& state) {
 
 BENCHMARK(BM_FrontendImbalancedSteal)->UseRealTime()->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FrontendImbalancedSticky)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+// ---- Wire codec: the per-request decode/encode a lane pays ----------------
+
+// MC browse traffic as servebench sends it: a legitimate browse of the benign
+// archive (Arg 0) or an attack browse of the symlink-overflow one (Arg 1).
+// Either .tgz is mostly binary, so most of the ~12 KB line is %XX escapes.
+ServerRequest McBrowse(bool attack) {
+  ServerRequest browse =
+      MakeRequest(attack ? RequestTag::kAttack : RequestTag::kLegit, "browse");
+  browse.payload = attack ? MakeMcAttackTgz() : MakeMcBenignTgz();
+  return browse;
+}
+
+void BM_WireDecodeMcBrowse(benchmark::State& state) {
+  const std::string line = McBrowse(state.range(0) != 0).Serialize();
+  for (auto _ : state) {
+    std::optional<ServerRequest> request = ServerRequest::Deserialize(line);
+    benchmark::DoNotOptimize(request);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * line.size()));
+  state.counters["line_bytes"] = benchmark::Counter(static_cast<double>(line.size()));
+}
+
+// The response a failure-oblivious MC worker gives that browse: one listing
+// row per archive entry.
+void BM_WireEncodeResponse(benchmark::State& state) {
+  std::unique_ptr<ServerApp> app = MakeServerApp(Server::kMc, AccessPolicy::kFailureOblivious);
+  const ServerResponse response = app->Handle(McBrowse(state.range(0) != 0));
+  size_t bytes = 0;
+  for (auto _ : state) {
+    std::string line = response.Serialize();
+    bytes = line.size();
+    benchmark::DoNotOptimize(line);
+  }
+  state.counters["line_bytes"] = benchmark::Counter(static_cast<double>(bytes));
+}
+
+BENCHMARK(BM_WireDecodeMcBrowse)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_WireEncodeResponse)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace fob

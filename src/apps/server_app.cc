@@ -1,6 +1,10 @@
 #include "src/apps/server_app.h"
 
-#include <sstream>
+#include <algorithm>
+#include <array>
+#include <charconv>
+#include <cstring>
+#include <limits>
 
 namespace fob {
 
@@ -58,82 +62,148 @@ const char* RequestTagName(RequestTag tag) {
 
 namespace {
 
-// Percent-escapes tabs, newlines, '%' and non-printable bytes so any field
-// — including raw archive bytes — survives the one-line wire form.
-std::string Escape(const std::string& s) {
-  static const char kHex[] = "0123456789ABCDEF";
-  std::string out;
-  out.reserve(s.size());
+// The wire codec. A line is tab-separated fields; every string field is
+// percent-escaped so tabs, newlines and raw bytes survive the one-line form,
+// and numbers are plain decimal. Decoding splits the line into string_views
+// and unescapes each field straight into its pre-sized destination; encoding
+// sizes the whole line first and appends into it. Neither makes an
+// intermediate copy: decoding a ~12 KB MC browse line (a .tgz payload that
+// is mostly escaped binary) is most of a Frontend lane's per-request wire
+// cost.
+
+constexpr char kHex[] = "0123456789ABCDEF";
+
+// Hex value of each byte, -1 for a byte that is not a hex digit. Built at
+// compile time at namespace scope: a function-local static would add a
+// guard variable, which is writable state shared by every shard.
+constexpr std::array<int8_t, 256> kNibble = [] {
+  std::array<int8_t, 256> table{};
+  table.fill(-1);
+  for (int c = 0; c < 10; ++c) {
+    table['0' + c] = static_cast<int8_t>(c);
+  }
+  for (int c = 0; c < 6; ++c) {
+    table['A' + c] = table['a' + c] = static_cast<int8_t>(10 + c);
+  }
+  return table;
+}();
+
+// '%', tabs, newlines and every other non-printable byte are escaped.
+bool NeedsEscape(unsigned char c) { return c == '%' || c < 0x20 || c >= 0x7f; }
+
+size_t EscapedSize(std::string_view s) {
+  size_t size = s.size();
   for (unsigned char c : s) {
-    if (c == '%' || c == '\t' || c == '\n' || c == '\r' || c < 0x20 || c >= 0x7f) {
-      out.push_back('%');
-      out.push_back(kHex[c >> 4]);
-      out.push_back(kHex[c & 0xf]);
-    } else {
-      out.push_back(static_cast<char>(c));
-    }
+    size += NeedsEscape(c) ? 2 : 0;
   }
-  return out;
+  return size;
 }
 
-int HexNibble(char c) {
-  if (c >= '0' && c <= '9') {
-    return c - '0';
-  }
-  if (c >= 'A' && c <= 'F') {
-    return c - 'A' + 10;
-  }
-  if (c >= 'a' && c <= 'f') {
-    return c - 'a' + 10;
-  }
-  return -1;
-}
-
-std::optional<std::string> Unescape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
+void AppendEscaped(std::string& out, std::string_view s) {
+  size_t run = 0;  // start of the pending run of bytes that pass as is
   for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '%') {
-      out.push_back(s[i]);
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (!NeedsEscape(c)) {
       continue;
     }
-    if (i + 2 >= s.size()) {
-      return std::nullopt;
-    }
-    int hi = HexNibble(s[i + 1]);
-    int lo = HexNibble(s[i + 2]);
-    if (hi < 0 || lo < 0) {
-      return std::nullopt;
-    }
-    out.push_back(static_cast<char>((hi << 4) | lo));
-    i += 2;
+    out.append(s.data() + run, i - run);
+    const char escaped[3] = {'%', kHex[c >> 4], kHex[c & 0xf]};
+    out.append(escaped, 3);
+    run = i + 1;
   }
-  return out;
+  out.append(s.data() + run, s.size() - run);
 }
 
-std::vector<std::string> SplitTabs(const std::string& line) {
-  std::vector<std::string> fields;
-  size_t start = 0;
-  while (true) {
-    size_t tab = line.find('\t', start);
-    if (tab == std::string::npos) {
-      fields.push_back(line.substr(start));
-      return fields;
-    }
-    fields.push_back(line.substr(start, tab - start));
-    start = tab + 1;
+// Multi-line fields travel as one escaped field joined by '\n', i.e. by its
+// escape "%0A", so the lines are escaped one by one with no joined copy.
+size_t EscapedLinesSize(const std::vector<std::string>& lines) {
+  size_t size = lines.empty() ? 0 : 3 * (lines.size() - 1);
+  for (const std::string& line : lines) {
+    size += EscapedSize(line);
   }
+  return size;
 }
 
-std::string JoinLines(const std::vector<std::string>& lines) {
-  std::string joined;
+void AppendEscapedLines(std::string& out, const std::vector<std::string>& lines) {
   for (size_t i = 0; i < lines.size(); ++i) {
     if (i > 0) {
-      joined.push_back('\n');
+      out.append("%0A", 3);
     }
-    joined += lines[i];
+    AppendEscaped(out, lines[i]);
   }
-  return joined;
+}
+
+template <typename Int>
+void AppendNumber(std::string& out, Int value) {
+  char digits[24];
+  const std::to_chars_result end = std::to_chars(digits, digits + sizeof digits, value);
+  out.append(digits, end.ptr);
+}
+
+// Decodes an escaped field into `out`. False when a '%' is not followed by
+// two hex digits, at the end of the field or in the middle of it. A plain
+// byte loop: binary payloads are mostly escapes, so searching for the next
+// '%' would cost a call per escape.
+bool Unescape(std::string_view s, std::string& out) {
+  out.resize(s.size());
+  char* write = out.data();
+  const char* read = s.data();
+  const char* const end = read + s.size();
+  while (read < end) {
+    if (*read != '%') {
+      *write++ = *read++;
+      continue;
+    }
+    if (end - read < 3) {
+      return false;
+    }
+    const int hi = kNibble[static_cast<unsigned char>(read[1])];
+    const int lo = kNibble[static_cast<unsigned char>(read[2])];
+    if (hi < 0 || lo < 0) {
+      return false;
+    }
+    *write++ = static_cast<char>((hi << 4) | lo);
+    read += 3;
+  }
+  out.resize(static_cast<size_t>(write - out.data()));
+  return true;
+}
+
+// A decimal number in canonical form: ASCII digits only, no sign, space,
+// leading zero or trailing byte, and at most `max`. Anything else is
+// rejected, so every number that parses re-encodes to the same bytes.
+std::optional<uint64_t> ParseNumber(std::string_view s, uint64_t max) {
+  if (s.empty() || (s.size() > 1 && s[0] == '0')) {
+    return std::nullopt;
+  }
+  uint64_t value = 0;
+  for (char c : s) {
+    if (c < '0' || c > '9') {
+      return std::nullopt;
+    }
+    const auto digit = static_cast<uint64_t>(c - '0');
+    if (digit > max || value > (max - digit) / 10) {
+      return std::nullopt;
+    }
+    value = value * 10 + digit;
+  }
+  return value;
+}
+
+// Splits `line` at tabs into exactly `N` fields; false on any other count.
+template <size_t N>
+bool SplitFields(std::string_view line, std::array<std::string_view, N>& fields) {
+  size_t start = 0;
+  for (size_t i = 0; i + 1 < N; ++i) {
+    const size_t tab = line.find('\t', start);
+    if (tab == std::string_view::npos) {
+      return false;
+    }
+    fields[i] = line.substr(start, tab - start);
+    start = tab + 1;
+  }
+  fields[N - 1] = line.substr(start);
+  return fields[N - 1].find('\t') == std::string_view::npos;
 }
 
 std::vector<std::string> SplitJoined(const std::string& joined) {
@@ -156,83 +226,93 @@ std::vector<std::string> SplitJoined(const std::string& joined) {
 }  // namespace
 
 std::string ServerRequest::Serialize() const {
-  std::ostringstream os;
-  os << "REQ\t" << static_cast<int>(tag) << '\t' << client_id << '\t' << Escape(op) << '\t'
-     << Escape(target) << '\t' << Escape(arg) << '\t' << Escape(arg2) << '\t'
-     << Escape(JoinLines(lines)) << '\t' << Escape(payload) << '\t' << Escape(expect);
-  return os.str();
+  std::string line;
+  // "REQ", a one-digit tag, a client id of at most 20 digits and 9 tabs.
+  line.reserve(3 + 1 + 20 + 9 + EscapedSize(op) + EscapedSize(target) + EscapedSize(arg) +
+               EscapedSize(arg2) + EscapedLinesSize(lines) + EscapedSize(payload) +
+               EscapedSize(expect));
+  line.append("REQ\t");
+  AppendNumber(line, static_cast<int>(tag));
+  line.push_back('\t');
+  AppendNumber(line, client_id);
+  for (const std::string* field : {&op, &target, &arg, &arg2}) {
+    line.push_back('\t');
+    AppendEscaped(line, *field);
+  }
+  line.push_back('\t');
+  AppendEscapedLines(line, lines);
+  line.push_back('\t');
+  AppendEscaped(line, payload);
+  line.push_back('\t');
+  AppendEscaped(line, expect);
+  return line;
 }
 
-std::optional<ServerRequest> ServerRequest::Deserialize(const std::string& line) {
-  std::vector<std::string> fields = SplitTabs(line);
-  if (fields.size() != 10 || fields[0] != "REQ") {
+std::optional<ServerRequest> ServerRequest::Deserialize(std::string_view line) {
+  std::array<std::string_view, 10> fields;
+  if (!SplitFields(line, fields) || fields[0] != "REQ") {
     return std::nullopt;
   }
-  int tag_value = 0;
-  try {
-    tag_value = std::stoi(fields[1]);
-  } catch (...) {
-    return std::nullopt;
-  }
-  if (tag_value < 0 || tag_value > static_cast<int>(RequestTag::kMaintenance)) {
+  const std::optional<uint64_t> tag =
+      ParseNumber(fields[1], static_cast<uint64_t>(RequestTag::kMaintenance));
+  const std::optional<uint64_t> client_id =
+      ParseNumber(fields[2], std::numeric_limits<uint64_t>::max());
+  if (!tag || !client_id) {
     return std::nullopt;
   }
   ServerRequest request;
-  request.tag = static_cast<RequestTag>(tag_value);
-  try {
-    request.client_id = std::stoull(fields[2]);
-  } catch (...) {
+  request.tag = static_cast<RequestTag>(*tag);
+  request.client_id = *client_id;
+  std::string joined_lines;
+  if (!Unescape(fields[3], request.op) || !Unescape(fields[4], request.target) ||
+      !Unescape(fields[5], request.arg) || !Unescape(fields[6], request.arg2) ||
+      !Unescape(fields[7], joined_lines) || !Unescape(fields[8], request.payload) ||
+      !Unescape(fields[9], request.expect)) {
     return std::nullopt;
   }
-  auto op = Unescape(fields[3]);
-  auto target = Unescape(fields[4]);
-  auto arg = Unescape(fields[5]);
-  auto arg2 = Unescape(fields[6]);
-  auto lines_joined = Unescape(fields[7]);
-  auto payload = Unescape(fields[8]);
-  auto expect = Unescape(fields[9]);
-  if (!op || !target || !arg || !arg2 || !lines_joined || !payload || !expect) {
-    return std::nullopt;
-  }
-  request.op = std::move(*op);
-  request.target = std::move(*target);
-  request.arg = std::move(*arg);
-  request.arg2 = std::move(*arg2);
-  request.lines = SplitJoined(*lines_joined);
-  request.payload = std::move(*payload);
-  request.expect = std::move(*expect);
+  request.lines = SplitJoined(joined_lines);
   return request;
 }
 
 std::string ServerResponse::Serialize() const {
-  std::ostringstream os;
-  os << "RSP\t" << (ok ? 1 : 0) << '\t' << (acceptable ? 1 : 0) << '\t' << status << '\t'
-     << Escape(body) << '\t' << Escape(error) << '\t' << Escape(JoinLines(lines));
-  return os.str();
+  std::string line;
+  // "RSP", two flags, a status of at most 11 characters and 6 tabs.
+  line.reserve(3 + 2 + 11 + 6 + EscapedSize(body) + EscapedSize(error) +
+               EscapedLinesSize(lines));
+  line.append(ok ? "RSP\t1\t" : "RSP\t0\t");
+  line.append(acceptable ? "1\t" : "0\t");
+  AppendNumber(line, status);
+  line.push_back('\t');
+  AppendEscaped(line, body);
+  line.push_back('\t');
+  AppendEscaped(line, error);
+  line.push_back('\t');
+  AppendEscapedLines(line, lines);
+  return line;
 }
 
-std::optional<ServerResponse> ServerResponse::Deserialize(const std::string& line) {
-  std::vector<std::string> fields = SplitTabs(line);
-  if (fields.size() != 7 || fields[0] != "RSP") {
+std::optional<ServerResponse> ServerResponse::Deserialize(std::string_view line) {
+  std::array<std::string_view, 7> fields;
+  if (!SplitFields(line, fields) || fields[0] != "RSP") {
+    return std::nullopt;
+  }
+  const std::optional<uint64_t> ok = ParseNumber(fields[1], 1);
+  const std::optional<uint64_t> acceptable = ParseNumber(fields[2], 1);
+  const std::optional<uint64_t> status =
+      ParseNumber(fields[3], std::numeric_limits<int>::max());
+  if (!ok || !acceptable || !status) {
     return std::nullopt;
   }
   ServerResponse response;
-  response.ok = fields[1] == "1";
-  response.acceptable = fields[2] == "1";
-  try {
-    response.status = std::stoi(fields[3]);
-  } catch (...) {
+  response.ok = *ok == 1;
+  response.acceptable = *acceptable == 1;
+  response.status = static_cast<int>(*status);
+  std::string joined_lines;
+  if (!Unescape(fields[4], response.body) || !Unescape(fields[5], response.error) ||
+      !Unescape(fields[6], joined_lines)) {
     return std::nullopt;
   }
-  auto body = Unescape(fields[4]);
-  auto error = Unescape(fields[5]);
-  auto lines_joined = Unescape(fields[6]);
-  if (!body || !error || !lines_joined) {
-    return std::nullopt;
-  }
-  response.body = std::move(*body);
-  response.error = std::move(*error);
-  response.lines = SplitJoined(*lines_joined);
+  response.lines = SplitJoined(joined_lines);
   return response;
 }
 

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/runtime/memory.h"
@@ -77,9 +78,13 @@ struct ServerRequest {
   std::string expect;              // op-specific acceptance operand
 
   // One-line wire form (all fields percent-escaped) and its inverse, used
-  // by the LineChannel transport. Serialize(Deserialize(x)) == x.
+  // by the LineChannel transport. Serialize(Deserialize(x)) == x for every
+  // line Serialize produces. Deserialize takes numbers only in canonical
+  // decimal (ASCII digits, no sign, space, leading zero or overflow) and
+  // rejects a '%' not followed by two hex digits; nullopt on any malformed
+  // line, never throws.
   std::string Serialize() const;
-  static std::optional<ServerRequest> Deserialize(const std::string& line);
+  static std::optional<ServerRequest> Deserialize(std::string_view line);
 };
 
 // What the server answered. `ok` is the operation-level success as the
@@ -94,8 +99,9 @@ struct ServerResponse {
   std::string error;       // the error line, if any
   std::vector<std::string> lines;  // multi-line output (SMTP dialogue, listing)
 
+  // The same wire form; `status` travels as a non-negative decimal.
   std::string Serialize() const;
-  static std::optional<ServerResponse> Deserialize(const std::string& line);
+  static std::optional<ServerResponse> Deserialize(std::string_view line);
 };
 
 // The uniform session interface. BeginSession/EndSession bracket one

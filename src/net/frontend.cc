@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -10,6 +11,26 @@
 #include "src/runtime/adaptive.h"
 
 namespace fob {
+
+namespace {
+
+// Runs on a lane thread: decodes one wire line, serves it on `app` and
+// encodes the response. A line that does not decode is answered "malformed
+// request line" without reaching the app, and counted in `rejected`.
+std::string ServeLine(ServerApp& app, uint64_t client_id, const std::string& line,
+                      uint64_t& rejected) {
+  std::optional<ServerRequest> request = ServerRequest::Deserialize(line);
+  if (!request) {
+    ++rejected;
+    ServerResponse malformed;
+    malformed.error = "malformed request line";
+    return malformed.Serialize();
+  }
+  request->client_id = client_id;  // the connection authenticates the id
+  return app.Handle(*request).Serialize();
+}
+
+}  // namespace
 
 // Wraps the caller's factory into the pool's index-aware form: every worker
 // (and every crash replacement for it) gets the access budget applied and
@@ -103,7 +124,8 @@ size_t Frontend::LaneOf(uint64_t client_id) {
 
 void Frontend::Ingest() {
   // Fair sweep: take at most one line per client per round, so a chatty
-  // client cannot starve the others — its requests interleave.
+  // client cannot starve the others — its requests interleave. A line is
+  // only stamped and kept here; the lane that serves it decodes it.
   bool progress = true;
   while (progress) {
     progress = false;
@@ -113,26 +135,9 @@ void Frontend::Ingest() {
         continue;  // kNoInput or kClosed: nothing to read from this client
       }
       progress = true;
-      auto request = ServerRequest::Deserialize(recv.line);
-      if (!request) {
-        ++stats_.rejected;
-        ServerResponse malformed;
-        malformed.error = "malformed request line";
-        Respond(client_id, malformed);
-        continue;
-      }
-      request->client_id = client_id;  // the connection authenticates the id
-      pending_.push_back(Pending{client_id, next_seq_++, /*requeued=*/false, std::move(*request)});
+      pending_.push_back(Pending{client_id, next_seq_++, /*requeued=*/false, std::move(recv.line)});
     }
   }
-}
-
-void Frontend::Respond(uint64_t client_id, const ServerResponse& response) {
-  auto it = clients_.find(client_id);
-  if (it != clients_.end()) {
-    it->second->ServerSend(response.Serialize());
-  }
-  ++stats_.served;
 }
 
 ServerResponse Frontend::OverloadedResponse(size_t lane) const {
@@ -158,14 +163,15 @@ void Frontend::ServePending() {
   const size_t batch_limit = options_.batch == 0 ? 1 : options_.batch;
   const size_t lane_count = pool_.size();
 
-  // A response waiting to be written, tagged with its request's submission
-  // seq. Every response this pump — served, crash error, shed — funnels into
-  // one seq-sorted write, so a client reads responses in the order it sent
-  // requests no matter which lane (or no lane) produced each one.
+  // An encoded response waiting to be written, tagged with its request's
+  // submission seq. Every response this pump — served, malformed-line
+  // reject, crash error, shed — funnels into one seq-sorted write, so a
+  // client reads responses in the order it sent requests no matter which
+  // lane (or no lane) produced each one.
   struct Outgoing {
     uint64_t seq = 0;
     uint64_t client_id = 0;
-    ServerResponse response;
+    std::string line;
   };
   std::vector<Outgoing> shed;
 
@@ -183,7 +189,7 @@ void Frontend::ServePending() {
     if (options_.shed_watermark != 0 && !item.requeued &&
         lane_depth_[lane] >= options_.shed_watermark) {
       ++stats_.shed;
-      shed.push_back(Outgoing{item.seq, item.client_id, OverloadedResponse(lane)});
+      shed.push_back(Outgoing{item.seq, item.client_id, OverloadedResponse(lane).Serialize()});
       continue;
     }
     lanes[lane].push_back(std::move(item));
@@ -254,6 +260,7 @@ void Frontend::ServePending() {
   // only other cross-thread state is the pool's atomic restart counter.
   struct LaneResult {
     std::vector<Outgoing> responses;  // serve order; crash errors included
+    uint64_t rejected = 0;
     uint64_t failed = 0;
     uint64_t requeued = 0;
     uint64_t batches = 0;
@@ -271,10 +278,11 @@ void Frontend::ServePending() {
         std::vector<Pending> batch = std::move(queue.front());
         queue.pop_front();
         const size_t count = batch.size();
-        std::vector<ServerResponse> out(count);
+        std::vector<std::string> out(count);
         ++result.batches;
-        BatchOutcome outcome = pool_.DispatchBatchOn(
-            lane, count, [&](ServerApp& app, size_t i) { out[i] = app.Handle(batch[i].request); });
+        BatchOutcome outcome = pool_.DispatchBatchOn(lane, count, [&](ServerApp& app, size_t i) {
+          out[i] = ServeLine(app, batch[i].client_id, batch[i].line, result.rejected);
+        });
         for (size_t i = 0; i < outcome.completed; ++i) {
           result.responses.push_back(
               Outgoing{batch[i].seq, batch[i].client_id, std::move(out[i])});
@@ -291,7 +299,7 @@ void Frontend::ServePending() {
         failure.error = "worker crashed: " + outcome.failure.detail;
         result.responses.push_back(Outgoing{batch[outcome.completed].seq,
                                             batch[outcome.completed].client_id,
-                                            std::move(failure)});
+                                            failure.Serialize()});
         ++result.failed;
         if (outcome.completed + 1 < count) {
           std::vector<Pending> remainder;
@@ -342,6 +350,7 @@ void Frontend::ServePending() {
     for (Outgoing& out : results[lane].responses) {
       outgoing.push_back(std::move(out));
     }
+    stats_.rejected += results[lane].rejected;
     stats_.failed += results[lane].failed;
     stats_.requeued += results[lane].requeued;
     stats_.batches += results[lane].batches;
@@ -349,7 +358,11 @@ void Frontend::ServePending() {
   std::sort(outgoing.begin(), outgoing.end(),
             [](const Outgoing& a, const Outgoing& b) { return a.seq < b.seq; });
   for (Outgoing& out : outgoing) {
-    Respond(out.client_id, out.response);
+    auto it = clients_.find(out.client_id);
+    if (it != clients_.end()) {
+      it->second->ServerSend(std::move(out.line));
+    }
+    ++stats_.served;
   }
 
   // A lane that threw left planned batches unserved; hand them back to

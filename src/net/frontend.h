@@ -15,6 +15,19 @@
 // entry evicted at the end of the pump, so a long-lived Frontend does not
 // leak one map entry per client ever seen.
 //
+// The pump thread (the caller of Pump) does no wire codec work. Ingest
+// only stamps each received line with its submission seq and keeps it raw;
+// the pump thread then partitions, plans steals, sorts responses by seq and
+// writes them. The lane that serves a request decodes its line
+// (ServerRequest::Deserialize) just before ServerApp::Handle and encodes the
+// response (ServerResponse::Serialize) just after, so the codec's per-byte
+// cost — most of a request's wire cost on large payloads such as MC's
+// escaped .tgz uploads — runs in parallel across lanes instead of as a
+// serial stage ahead of every pump. A line that does not decode is answered
+// "malformed request line" by its lane, never reaches an app, is counted in
+// Stats::rejected, and is written in the same seq order as every other
+// response. Only the rare shed responses are encoded on the pump thread.
+//
 // Dispatch is truly parallel and thread-churn free: the Frontend owns a
 // LaneExecutor (src/net/executor.h) with one long-lived worker thread per
 // lane, parked on a condition variable between pumps — a steady-state pump
@@ -203,12 +216,12 @@ class Frontend {
     uint64_t seq = 0;
     // Crash-remainder (or exception-path) requeue: exempt from shedding.
     bool requeued = false;
-    ServerRequest request;
+    // The request's wire line as received; the serving lane decodes it.
+    std::string line;
   };
 
   void Ingest();
   void ServePending();
-  void Respond(uint64_t client_id, const ServerResponse& response);
   void EvictClosedAffinities();
   ServerResponse OverloadedResponse(size_t lane) const;
   WorkerPool<ServerApp>::IndexedFactory MakeWorkerFactory(Factory factory);

@@ -71,6 +71,7 @@ void MemLog::Merge(const MemLog& other) {
   total_ += other.total_;
   read_errors_ += other.read_errors_;
   write_errors_ += other.write_errors_;
+  alloc_errors_ += other.alloc_errors_;
   dropped_ += other.dropped_;
   translation_hits_ += other.translation_hits_;
   translation_misses_ += other.translation_misses_;
@@ -123,7 +124,7 @@ std::string MemLog::Summary() const {
 
 void MemLog::Clear() {
   head_ = stored_ = 0;
-  total_ = read_errors_ = write_errors_ = dropped_ = 0;
+  total_ = read_errors_ = write_errors_ = alloc_errors_ = dropped_ = 0;
   ++generation_;
   translation_hits_ = translation_misses_ = 0;
   boundless_ = BoundlessStoreStats{};

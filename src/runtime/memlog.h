@@ -115,9 +115,17 @@ class MemLog {
     }
   }
 
+  // Counts one error Memory::Free or Memory::Realloc logged against a bad
+  // pointer (a size-0 write record, made with no access): kept apart so
+  // that total_errors() - alloc_errors() is exactly the number of access
+  // errors, even after their records left the ring. Bumped by those callers
+  // rather than by Record, which keeps the access-error path unchanged.
+  void CountAllocError() { ++alloc_errors_; }
+
   uint64_t total_errors() const { return total_; }
   uint64_t read_errors() const { return read_errors_; }
   uint64_t write_errors() const { return write_errors_; }
+  uint64_t alloc_errors() const { return alloc_errors_; }
   // Errors per data-unit name, e.g. "prescan::buf" -> 37, summed over the
   // site table (wild accesses, which name no unit, are left out).
   std::map<std::string, uint64_t> errors_by_unit() const;
@@ -226,6 +234,7 @@ class MemLog {
   uint64_t total_ = 0;
   uint64_t read_errors_ = 0;
   uint64_t write_errors_ = 0;
+  uint64_t alloc_errors_ = 0;
   uint64_t dropped_ = 0;
   uint64_t generation_ = 0;
   uint64_t translation_hits_ = 0;

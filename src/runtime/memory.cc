@@ -79,6 +79,7 @@ void Memory::Free(Ptr p) {
       check = CheckAccess(p, 1);
     }
     LogError(/*is_write=*/true, p, 0, *check);
+    shard_->log.CountAllocError();
     return;
   }
   shard_->boundless.DropUnit(heap.BlockUnit(p.addr));
@@ -102,6 +103,7 @@ Ptr Memory::Realloc(Ptr p, size_t new_size) {
       check = CheckAccess(p, 1);
     }
     LogError(/*is_write=*/true, p, 0, *check);
+    shard_->log.CountAllocError();
     return p;  // leave the program with its pointer; best effort
   }
   UnitId old_unit = heap.BlockUnit(p.addr);

@@ -8,7 +8,6 @@ namespace fob {
 
 namespace {
 constexpr size_t kLocalAlign = 8;
-constexpr std::string_view kNoFunction = "<no frame>";
 }  // namespace
 
 Stack::Stack(AddressSpace& space, ObjectTable& table, Addr low, size_t size)
@@ -21,7 +20,9 @@ Stack::Stack(AddressSpace& space, ObjectTable& table, Addr low, size_t size)
 }
 
 std::string_view Stack::current_function() const {
-  return frames_.empty() ? kNoFunction : std::string_view(frames_.back().name);
+  // The literal is returned directly: a namespace-scope string_view constant
+  // is emitted into a writable data section in an unoptimized build.
+  return frames_.empty() ? std::string_view("<no frame>") : std::string_view(frames_.back().name);
 }
 
 void Stack::PushFrame(std::string name) {

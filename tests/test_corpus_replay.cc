@@ -23,6 +23,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -94,6 +96,36 @@ std::vector<LoadedCase> LoadServerCorpus(const std::filesystem::path& dir) {
     cases.push_back({case_path.string(), std::move(*parsed)});
   }
   return cases;
+}
+
+// Every case file is one Serialize() line; decoding it and encoding the
+// result must give back the same bytes, so the wire codec cannot drift from
+// the lines the corpus was recorded with.
+TEST(CorpusWireTest, EveryCaseLineRoundTripsByteForByte) {
+  size_t lines = 0;
+  for (const auto& server_dir : std::filesystem::directory_iterator(FOB_CORPUS_DIR)) {
+    if (!server_dir.is_directory()) {
+      continue;
+    }
+    for (const auto& entry : std::filesystem::directory_iterator(server_dir.path())) {
+      const std::string name = entry.path().filename().string();
+      if (name.rfind("case_", 0) != 0 || entry.path().extension() != ".req") {
+        continue;
+      }
+      std::ifstream file(entry.path(), std::ios::binary);
+      const std::string contents((std::istreambuf_iterator<char>(file)),
+                                 std::istreambuf_iterator<char>());
+      ASSERT_FALSE(contents.empty()) << entry.path().string();
+      ASSERT_EQ(contents.back(), '\n') << entry.path().string();
+      const std::string line = contents.substr(0, contents.size() - 1);
+      ASSERT_EQ(line.find('\n'), std::string::npos) << entry.path().string();
+      std::optional<ServerRequest> request = ServerRequest::Deserialize(line);
+      ASSERT_TRUE(request.has_value()) << entry.path().string();
+      EXPECT_EQ(request->Serialize(), line) << entry.path().string();
+      ++lines;
+    }
+  }
+  EXPECT_GT(lines, 0u);
 }
 
 TEST(CorpusReplayTest, EveryCheckedInCaseStillFiresItsSitesUnderEveryPolicy) {

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -106,6 +107,151 @@ TEST(ServerWireTest, MalformedLinesAreRejected) {
   EXPECT_FALSE(ServerRequest::Deserialize("RSP\t1").has_value());
   EXPECT_FALSE(ServerRequest::Deserialize("REQ\t9\t0\tget").has_value());
   EXPECT_FALSE(ServerResponse::Deserialize("REQ\t0\t0\t0\t\t\t").has_value());
+}
+
+// A valid request line with one field replaced: `index` counts from the
+// "REQ" tag field (0) to `expect` (9).
+std::string RequestLineWith(size_t index, const std::string& value) {
+  std::vector<std::string> fields = {"REQ", "0", "7", "get", "/index.html", "", "", "", "", ""};
+  fields.at(index) = value;
+  std::string line = fields[0];
+  for (size_t i = 1; i < fields.size(); ++i) {
+    line += '\t';
+    line += fields[i];
+  }
+  return line;
+}
+
+// Every line in this list must be rejected by the decoder, and by a
+// Frontend lane with a "malformed request line" answer.
+std::vector<std::string> MalformedRequestLines() {
+  std::vector<std::string> lines = {
+      "not a request",
+      RequestLineWith(0, "RSP"),
+      RequestLineWith(9, "x\textra"),  // an eleventh field
+      // Tags: digits only, no sign, space, leading zero or trailing byte,
+      // and within the RequestTag range.
+      RequestLineWith(1, ""),
+      RequestLineWith(1, "1x"),
+      RequestLineWith(1, " 1"),
+      RequestLineWith(1, "1 "),
+      RequestLineWith(1, "+1"),
+      RequestLineWith(1, "-0"),
+      RequestLineWith(1, "01"),
+      RequestLineWith(1, "3"),
+      RequestLineWith(1, "4294967296"),
+      // Client ids: the same rules, and no overflow past 2^64 - 1 ("-1"
+      // used to parse as 2^64 - 1).
+      RequestLineWith(2, ""),
+      RequestLineWith(2, "+7"),
+      RequestLineWith(2, "-1"),
+      RequestLineWith(2, " 7"),
+      RequestLineWith(2, "7x"),
+      RequestLineWith(2, "07"),
+      RequestLineWith(2, "18446744073709551616"),
+      RequestLineWith(2, "99999999999999999999999"),
+  };
+  // A '%' without two hex digits after it: at the end of the line (the last
+  // field), at the end of a field mid-line, and in the middle of a field.
+  for (const char* bad : {"%", "%4", "%G1"}) {
+    lines.push_back(RequestLineWith(9, bad));
+    lines.push_back(RequestLineWith(4, bad));
+    lines.push_back(RequestLineWith(4, "/a" + std::string(bad) + "zz/b"));
+  }
+  return lines;
+}
+
+TEST(ServerWireTest, MalformedRequestFieldsAreRejected) {
+  ASSERT_TRUE(ServerRequest::Deserialize(RequestLineWith(0, "REQ")).has_value());
+  for (const std::string& line : MalformedRequestLines()) {
+    EXPECT_FALSE(ServerRequest::Deserialize(line).has_value()) << line;
+  }
+}
+
+TEST(ServerWireTest, CanonicalNumbersAtTheirLimitsAreAccepted) {
+  for (const char* tag : {"0", "1", "2"}) {
+    auto request = ServerRequest::Deserialize(RequestLineWith(1, tag));
+    ASSERT_TRUE(request.has_value()) << tag;
+    EXPECT_EQ(request->Serialize(), RequestLineWith(1, tag));
+  }
+  for (const char* id : {"0", "18446744073709551615"}) {
+    auto request = ServerRequest::Deserialize(RequestLineWith(2, id));
+    ASSERT_TRUE(request.has_value()) << id;
+    EXPECT_EQ(request->Serialize(), RequestLineWith(2, id));
+  }
+  EXPECT_FALSE(ServerResponse::Deserialize("RSP\t2\t0\t200\t\t\t").has_value());
+  EXPECT_FALSE(ServerResponse::Deserialize("RSP\t1\t1\t-1\t\t\t").has_value());
+  EXPECT_FALSE(ServerResponse::Deserialize("RSP\t1\t1\t2147483648\t\t\t").has_value());
+  EXPECT_TRUE(ServerResponse::Deserialize("RSP\t1\t1\t2147483647\t\t\t").has_value());
+}
+
+// Every byte value 0-255 through every string field, both ways: the
+// decoded request equals the original, and re-encoding the decoded request
+// gives back the same line.
+TEST(ServerWireTest, EveryByteValueRoundTripsThroughEveryField) {
+  std::string all_bytes;
+  for (int c = 0; c < 256; ++c) {
+    all_bytes.push_back(static_cast<char>(c));
+  }
+  std::vector<std::string> values = {all_bytes};
+  for (char c : all_bytes) {
+    values.emplace_back(1, c);
+  }
+  for (const std::string& value : values) {
+    for (int field = 0; field < 7; ++field) {
+      ServerRequest request;
+      request.tag = RequestTag::kMaintenance;
+      request.client_id = 18446744073709551615ull;
+      std::string* slots[] = {&request.op,  &request.target,  &request.arg, &request.arg2,
+                              nullptr,      &request.payload, &request.expect};
+      if (slots[field] != nullptr) {
+        *slots[field] = value;
+      } else if (value != "\n") {
+        // A '\n' separates lines, so the joined field splits there.
+        size_t nl = value.find('\n');
+        request.lines = nl == std::string::npos
+                            ? std::vector<std::string>{value}
+                            : std::vector<std::string>{value.substr(0, nl), value.substr(nl + 1)};
+      }
+      const std::string line = request.Serialize();
+      ASSERT_EQ(line.find('\n'), std::string::npos);
+      std::optional<ServerRequest> back = ServerRequest::Deserialize(line);
+      ASSERT_TRUE(back.has_value()) << "field " << field;
+      EXPECT_EQ(back->tag, request.tag);
+      EXPECT_EQ(back->client_id, request.client_id);
+      EXPECT_EQ(back->op, request.op);
+      EXPECT_EQ(back->target, request.target);
+      EXPECT_EQ(back->arg, request.arg);
+      EXPECT_EQ(back->arg2, request.arg2);
+      EXPECT_EQ(back->lines, request.lines) << "field " << field;
+      EXPECT_EQ(back->payload, request.payload);
+      EXPECT_EQ(back->expect, request.expect);
+      EXPECT_EQ(back->Serialize(), line);
+    }
+    for (int field = 0; field < 3; ++field) {
+      ServerResponse response;
+      response.ok = field != 1;
+      response.acceptable = field != 2;
+      response.status = 553;
+      std::string* slots[] = {&response.body, &response.error, nullptr};
+      if (slots[field] != nullptr) {
+        *slots[field] = value;
+      } else if (value.find('\n') == std::string::npos) {
+        response.lines = {value, value};
+      }
+      const std::string line = response.Serialize();
+      ASSERT_EQ(line.find('\n'), std::string::npos);
+      std::optional<ServerResponse> back = ServerResponse::Deserialize(line);
+      ASSERT_TRUE(back.has_value()) << "field " << field;
+      EXPECT_EQ(back->ok, response.ok);
+      EXPECT_EQ(back->acceptable, response.acceptable);
+      EXPECT_EQ(back->status, response.status);
+      EXPECT_EQ(back->body, response.body);
+      EXPECT_EQ(back->error, response.error);
+      EXPECT_EQ(back->lines, response.lines);
+      EXPECT_EQ(back->Serialize(), line);
+    }
+  }
 }
 
 // ---- Frontend ----------------------------------------------------------------
@@ -521,6 +667,76 @@ TEST(FrontendTest, MalformedLineGetsAnErrorResponse) {
   ASSERT_TRUE(response.has_value());
   EXPECT_FALSE(response->ok);
   EXPECT_NE(response->error.find("malformed"), std::string::npos);
+}
+
+// A malformed line is answered by the lane its client is bound to, in the
+// same seq-ordered write as the client's other responses: a reject never
+// overtakes a request the client sent before it.
+TEST(FrontendTest, MalformedLineAnsweredInSubmissionOrder) {
+  Frontend frontend([] { return MakeServerApp(Server::kMc, AccessPolicy::kFailureOblivious); },
+                    Frontend::Options{.workers = 2, .batch = 2});
+  ServerRequest browse = MakeRequest(RequestTag::kLegit, "browse");
+  browse.payload = MakeMcBenignTgz();
+  LineChannel& first = frontend.Connect(1);
+  LineChannel& second = frontend.Connect(2);
+  first.ClientSend(browse.Serialize());
+  second.ClientSend(browse.Serialize());
+  first.ClientSend("not a request");
+  first.ClientSend(browse.Serialize());
+  first.ClientClose();
+  second.ClientClose();
+  EXPECT_EQ(frontend.Run(), 4u);
+  EXPECT_EQ(frontend.stats().rejected, 1u);
+
+  std::vector<std::string> lines = first.ClientReceiveAll();
+  ASSERT_EQ(lines.size(), 3u);
+  std::vector<ServerResponse> responses;
+  for (const std::string& line : lines) {
+    auto response = ServerResponse::Deserialize(line);
+    ASSERT_TRUE(response.has_value()) << line;
+    responses.push_back(*response);
+  }
+  EXPECT_TRUE(responses[0].ok);
+  EXPECT_FALSE(responses[0].lines.empty());
+  EXPECT_FALSE(responses[1].ok);
+  EXPECT_EQ(responses[1].error, "malformed request line");
+  EXPECT_TRUE(responses[2].ok);
+  EXPECT_EQ(responses[2].lines, responses[0].lines);
+
+  std::vector<std::string> other = second.ClientReceiveAll();
+  ASSERT_EQ(other.size(), 1u);
+  EXPECT_EQ(other[0], lines[0]);
+}
+
+// Every malformed variant the decoder rejects is rejected by a lane too,
+// counted once each, and never reaches an app (no app sees a request, so
+// no error is logged and no worker restarts).
+TEST(FrontendTest, EveryMalformedLineIsRejectedByItsLane) {
+  Frontend frontend(ApacheFactory(AccessPolicy::kFailureOblivious),
+                    Frontend::Options{.workers = 2, .batch = 3});
+  const std::vector<std::string> malformed = MalformedRequestLines();
+  const std::string valid = Get("/index.html").Serialize();
+  LineChannel& client = frontend.Connect(1);
+  for (const std::string& line : malformed) {
+    client.ClientSend(line);
+    client.ClientSend(valid);
+  }
+  client.ClientClose();
+  EXPECT_EQ(frontend.Run(), 2 * malformed.size());
+  EXPECT_EQ(frontend.stats().rejected, malformed.size());
+  EXPECT_EQ(frontend.restarts(), 0u);
+  EXPECT_EQ(frontend.MergedLog().total_errors(), 0u);
+  std::vector<std::string> lines = client.ClientReceiveAll();
+  ASSERT_EQ(lines.size(), 2 * malformed.size());
+  for (size_t i = 0; i < lines.size(); ++i) {
+    auto response = ServerResponse::Deserialize(lines[i]);
+    ASSERT_TRUE(response.has_value());
+    if (i % 2 == 0) {
+      EXPECT_EQ(response->error, "malformed request line") << malformed[i / 2];
+    } else {
+      EXPECT_EQ(response->status, 200);
+    }
+  }
 }
 
 }  // namespace

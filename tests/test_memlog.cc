@@ -243,6 +243,36 @@ TEST(MemLogTest, ClearResetsEverything) {
   EXPECT_NE(log.generation(), generation);
 }
 
+TEST(MemLogIntegrationTest, AllocErrorsCountBadFreesAndReallocsExactly) {
+  // A two-record ring evicts almost every record below, yet alloc_errors()
+  // stays exact, so total - alloc equals the access errors (the misses).
+  Memory::Config config;
+  config.log_capacity = 2;
+  Memory memory(config);
+  Ptr p = memory.Malloc(4, "buf");
+  memory.Free(p);
+  for (int i = 0; i < 3; ++i) {
+    memory.Free(p);  // double free: logged and discarded
+  }
+  EXPECT_EQ(memory.Realloc(p, 8).addr, p.addr);  // realloc of a freed block
+  Ptr live = memory.Malloc(4, "live");
+  for (int i = 0; i < 5; ++i) {
+    (void)memory.ReadU8(live + 10);
+  }
+  const MemLog& log = memory.log();
+  EXPECT_EQ(log.total_errors(), 9u);
+  EXPECT_EQ(log.alloc_errors(), 4u);
+  EXPECT_GT(log.dropped(), 0u);
+  EXPECT_EQ(memory.translation_misses(), log.total_errors() - log.alloc_errors());
+
+  MemLog merged;
+  merged.Merge(log);
+  merged.Merge(log);
+  EXPECT_EQ(merged.alloc_errors(), 8u);
+  merged.Clear();
+  EXPECT_EQ(merged.alloc_errors(), 0u);
+}
+
 TEST(MemLogIntegrationTest, LogIdentifiesTheGuiltyBufferAndFunction) {
   // §3: "a log containing information about the program's attempts to
   // commit memory errors" — the record names the data unit and the
